@@ -1,9 +1,12 @@
 # Single documented quality gate; CI and pre-commit both run `make check`.
+# Every gate is deterministic: no step decides pass/fail from a measured
+# speed, rate or ratio. Speed is the discbench harness's (BENCHMARK.json,
+# `bash discbench/run.sh`).
 GO ?= go
 
-.PHONY: check build vet test race chaos lint-examples bench bench-core bench-core-gate bench-serve equiv obs-bench absint detlint snap serve
+.PHONY: check build vet test race detlint bench-vet
 
-check: build vet test race chaos equiv obs-bench bench-core-gate absint detlint snap serve
+check: build vet test race detlint bench-vet
 
 build:
 	$(GO) build ./...
@@ -11,75 +14,13 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Runs every package's tests, including the three-way engine lockstep,
+# the snapshot and serve suites and the fuzz targets' seed corpora.
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
-
-# Benchmark the parallel sweep engine (serial vs 8 workers) and record
-# the measurement — including host CPU count — in BENCH_parallel.json,
-# plus the core-throughput benchmarks. -benchmem documents the hot-loop
-# allocation contract: every BenchmarkCore_* must report 0 allocs/op —
-# a steady-state Step allocates nothing.
-bench:
-	$(GO) test -bench 'BenchmarkSweep_' -benchtime 2x -run '^$$' .
-	$(GO) test -bench 'BenchmarkCore_|BenchmarkMachineStep' -benchmem -run '^$$' .
-	BENCH_JSON=$(CURDIR)/BENCH_parallel.json $(GO) test -run TestBenchParallelJSON -v .
-
-# Serial simulator throughput, recorded in BENCH_core.json: simulated
-# cycles per host second for each Table 4.1 load, on the optimized
-# pipeline, the retained reference pipeline, and (as recorded at the
-# seed commit) the pre-overhaul simulator — plus the block-engine rows
-# (1 stream, analysis-planned tables, plain vs fused).
-bench-core:
-	BENCH_CORE_JSON=$(CURDIR)/BENCH_core.json $(GO) test -run TestBenchCoreJSON -count=1 -v .
-
-# Block-engine regression gate: with a compiled table attached, the
-# machine must not lose to the plain optimized interpreter on any
-# Table 4.1 load (the adaptive gate's never-lose contract), and the
-# deterministic session-stat shape — load 3 fusing, bus-bound loads
-# demoting — must hold exactly. The wall-clock half is env-gated like
-# obs-bench; block_bench_test.go documents the measurement discipline
-# and the threshold's measured noise floor.
-bench-core-gate:
-	$(GO) test -run TestBlockFusionCoverage -count=1 .
-	BLOCK_BENCH=1 $(GO) test -run TestBlockBenchGate -count=1 -v .
-
-# Differential equivalence gate: the optimized pipeline against the
-# retained reference pipeline AND the block-compiled engine — three-way
-# cycle-level lockstep in internal/core (TestBlockEquiv*), the
-# analysis-planned pipeline over Table 4.1 loads in internal/blockc,
-# whole-run example programs and Table 4.1 loads at the top level.
-# `test` and `race` already cover these; this target names the gate.
-equiv:
-	$(GO) test -run 'TestEquiv|TestBlockEquiv|TestExamplesEquivalence|TestTableLoadsEquivalence' ./internal/core/ .
-	$(GO) test -run 'TestAttachCompilesAndStaysEquivalent|TestTable41LoadEquiv' ./internal/blockc/
-
-# Robustness gate: replay the chaos fuzz corpus and the deterministic
-# fault-injection tests under the race detector. `race` already covers
-# these packages; this target re-runs just the fault surface in
-# isolation so a chaos regression is named by the gate that caught it.
-chaos:
-	$(GO) test -race -run 'TestChaos|Fuzz' ./internal/fault/ ./internal/bus/
-
-# Observability overhead gate: with no recorder attached the hot loop
-# must allocate nothing per Step (and nothing with one attached either)
-# and hold BENCH_core.json's optimized-over-reference speedup within
-# 15%, re-measuring both pipelines back to back so ambient host load
-# cancels out of the comparison (the budget covers the ratio's own
-# host-state sensitivity; see obs_bench_test.go).
-obs-bench:
-	$(GO) test -run TestObsDisabledZeroAllocs -count=1 .
-	OBS_BENCH=1 $(GO) test -run TestObsBench -count=1 -v .
-
-# Abstract-interpretation gate: the analysis engine's structural
-# invariants and idempotence over random images, the disclint golden
-# -json/-facts-out pins, and the differential validator that replays
-# Table 4.1 loads and chaos schedules against the static block
-# summaries. `test` covers these too; this target names the gate.
-absint:
-	$(GO) test -run 'TestRandomImages|TestAbsint|TestJSONGolden|TestFactsOut' ./internal/analysis/ ./internal/core/ ./cmd/disclint/
 
 # Determinism linter: forbid wall-clock reads, global math/rand and
 # map-order iteration in the packages whose outputs must be
@@ -87,34 +28,8 @@ absint:
 detlint:
 	$(GO) run ./cmd/detlint internal/core internal/sched internal/obs internal/parallel internal/stoch internal/rng internal/analysis internal/blockc internal/snap internal/serve
 
-# Crash-safety gate: the disc-snap/1 codec round-trip, the pinned
-# golden fixture, the restore trust boundary (corruption rejection +
-# fuzz corpus replay, which must error — never panic), the machine-
-# level round-trip proofs over Table 4.1 loads and chaos schedules,
-# and the resumable-sweep journal. `test` covers these too; this
-# target names the gate.
-snap:
-	$(GO) test -run 'TestEncodeDecode|TestSaveLoad|TestSaveIsAtomic|TestGolden|TestDecodeRejects|Fuzz' ./internal/snap/
-	$(GO) test -run 'TestSnapshot|TestReset|TestRestore|TestFaultDevice' ./internal/core/ ./internal/fault/
-	$(GO) test -run 'TestJournal|TestTable42Resumes|TestJournaledTable' ./internal/parallel/ ./internal/tables/
-
-# Simulation-as-a-service gate: the session server's unit and HTTP
-# end-to-end tests under the race detector (the worker-ownership proof
-# that no machine is ever stepped and snapshotted concurrently), plus
-# the process-level exit-path tests — SIGINT checkpoint/resume,
-# fixed-length watchdog, sink flushing on fatal, discserve's graceful
-# drain. `test` and `race` cover these too; this target names the gate.
-serve:
-	$(GO) test -race -count=1 ./internal/serve/
-	$(GO) test -run 'TestCLIDiscserve|TestCLIDiscsimSignal|TestCLIDiscsimFixedLength|TestCLIDiscsimFatal' -count=1 .
-
-# Session-server throughput, recorded in BENCH_serve.json: concurrent
-# sessions stepped across the worker pool — steps/s, simulated
-# cycles/s, p50/p99 step latency, host CPU count.
-bench-serve:
-	BENCH_SERVE_JSON=$(CURDIR)/BENCH_serve.json $(GO) test -run TestBenchServeJSON -count=1 -v ./internal/serve/
-
-# Convenience: re-lint the shipped assembly library and every example
-# program (same checks `make test` already runs, but in isolation).
-lint-examples:
-	$(GO) test -run 'TestLibraryLintsClean|TestExamplesLintClean' -v ./internal/asmlib/ .
+# discbench is its own module (replace disc => ../), so the root
+# `go build ./...` never compiles it; vet it here so an API change that
+# breaks the benchmark fails the gate instead of the benchmark run.
+bench-vet:
+	GOWORK=off GOFLAGS= $(GO) -C discbench vet ./...

@@ -2,16 +2,11 @@
 // evaluation section (run with `go test -bench=. -benchmem`), plus the
 // ablations indexed in DESIGN.md §3. The custom metrics attached via
 // b.ReportMetric carry the reproduced results — PD, Delta, latency —
-// so a bench run regenerates the numbers recorded in EXPERIMENTS.md;
-// ns/op additionally tracks simulator performance.
+// so a bench run regenerates the numbers recorded in EXPERIMENTS.md.
+// Simulator speed is measured by the discbench harness, not here.
 package disc_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
-	"time"
-
 	"fmt"
 	"testing"
 
@@ -368,37 +363,6 @@ func BenchmarkAblation_BusContention(b *testing.B) {
 	b.ReportMetric(pd2, "PD_4IS_2bus")
 }
 
-// ---- simulator performance benches ----
-
-// BenchmarkMachineStep measures raw machine simulation speed.
-func BenchmarkMachineStep(b *testing.B) {
-	m := fourStream(b, disc.Config{Streams: 4})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Step()
-	}
-}
-
-// BenchmarkStochasticCycle measures stochastic-model speed.
-func BenchmarkStochasticCycle(b *testing.B) {
-	l := workload.Simple(workload.Ld1)
-	b.ResetTimer()
-	res, err := stoch.Run(stoch.Config{Cycles: uint64(b.N) + 16, Streams: []workload.Load{l, l, l, l}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-}
-
-// BenchmarkAssemble measures assembler throughput on the bench kernel.
-func BenchmarkAssemble(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := disc.Assemble(benchLoops); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- §5 future-work studies ----
 
 // BenchmarkFutureWork_StreamSweep finds the optimum stream count for
@@ -507,95 +471,4 @@ func main() { f = fib(20); }`
 			b.Fatal("wrong fib(20)")
 		}
 	}
-}
-
-// ---- parallel sweep engine ----
-
-// benchSweepAll runs the full replicated Table 4.2 + 4.3 sweep at a
-// given worker count — the workload `make bench` times serial vs
-// parallel.
-func benchSweepAll(par int) error {
-	opts := tables.Opts{Cycles: benchCycles, Seed: 1991, Reps: 3, Par: par}
-	if _, err := tables.Table42(opts); err != nil {
-		return err
-	}
-	_, err := tables.Table43(opts)
-	return err
-}
-
-// BenchmarkSweep_Serial times the replicated table sweep on one worker.
-func BenchmarkSweep_Serial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := benchSweepAll(1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweep_Par8 times the same sweep fanned across 8 workers.
-func BenchmarkSweep_Par8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := benchSweepAll(8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestBenchParallelJSON regenerates BENCH_parallel.json when invoked
-// via `make bench` (BENCH_JSON names the output file). It times one
-// serial and one 8-worker pass over the replicated table sweep and
-// records the measured speedup together with the host's CPU count —
-// on a single-core runner the speedup is honestly ~1x; the engine's
-// scaling needs real cores, not goroutines.
-func TestBenchParallelJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<path> to write the benchmark record")
-	}
-	time1 := func(par int) time.Duration {
-		start := time.Now()
-		if err := benchSweepAll(par); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	// Warm-up pass so neither timing pays one-time costs.
-	if err := benchSweepAll(1); err != nil {
-		t.Fatal(err)
-	}
-	serial := time1(1)
-	par8 := time1(8)
-	rec := struct {
-		Benchmark string  `json:"benchmark"`
-		SerialNs  int64   `json:"serial_ns"`
-		Par8Ns    int64   `json:"par8_ns"`
-		Speedup   float64 `json:"speedup_8_workers"`
-		HostCPUs  int     `json:"host_cpus"`
-		Cycles    int     `json:"cycles"`
-		Reps      int     `json:"reps"`
-		Runs      int     `json:"runs"`
-		Note      string  `json:"note"`
-	}{
-		Benchmark: "tables 4.2+4.3 replicated sweep (internal/parallel)",
-		SerialNs:  serial.Nanoseconds(),
-		Par8Ns:    par8.Nanoseconds(),
-		Speedup:   float64(serial.Nanoseconds()) / float64(par8.Nanoseconds()),
-		HostCPUs:  runtime.NumCPU(),
-		Cycles:    benchCycles,
-		Reps:      3,
-		// 4 loads + 3 pairs, each with a baseline and 4 stream
-		// organizations, 3 replications apiece.
-		Runs: 7 * (tables.MaxStreams + 1) * 3,
-		Note: "speedup scales with host_cpus: the runs are independent " +
-			"and embarrassingly parallel, so expect near-linear gains up " +
-			"to min(8, cores); a 1-CPU host shows ~1x by construction",
-	}
-	buf, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("serial %v, par8 %v, speedup %.2fx on %d CPU(s)", serial, par8, rec.Speedup, rec.HostCPUs)
 }

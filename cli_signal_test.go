@@ -272,10 +272,12 @@ func TestCLIDiscserveGracefulDrain(t *testing.T) {
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if code := exitStatus(cmd.Wait()); code != 0 {
-		t.Fatalf("drained server exited %d, want 0; stderr:\n%s", code, <-restc)
-	}
+	// Read stderr to EOF before Wait: Wait closes the pipe, and a read
+	// still in flight would lose the final drain notice.
 	rest := <-restc
+	if code := exitStatus(cmd.Wait()); code != 0 {
+		t.Fatalf("drained server exited %d, want 0; stderr:\n%s", code, rest)
+	}
 	if !strings.Contains(rest, "drained 1 session") {
 		t.Fatalf("missing drain notice:\n%s", rest)
 	}

@@ -367,8 +367,8 @@ func extraBlockSpeedup() {
 			// for the block machine, whose attach runs analysis+compile)
 			// records a fake loss from GC and scheduler aftermath. Timing
 			// in short rotated windows makes the engines sample the same
-			// host phases (see block_bench_test.go for the measured
-			// failure modes).
+			// host phases (see DESIGN.md §13 for the measured failure
+			// modes).
 			ref := build(p, core.Config{Reference: true}, rep, false)
 			opt := build(p, core.Config{}, rep, false)
 			blk := build(p, core.Config{}, rep, true)
@@ -420,8 +420,8 @@ func extraBlockSpeedup() {
 // column isolates the gate's own contribution from the skip batching,
 // which applies either way.
 //
-// Measurement discipline (see block_bench_test.go for the measured
-// failure modes): all three machines per replication are built and
+// Measurement discipline (see DESIGN.md §13 for the measured failure
+// modes): all three machines per replication are built and
 // warmed before anything is timed — timing an engine straight after
 // its alloc-heavy analysis+compile pass records a fake loss from GC
 // and scheduler aftermath — and the engines are timed in short

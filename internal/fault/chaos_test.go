@@ -136,8 +136,8 @@ func runChaos(t *testing.T, seed uint64) (cycles int, err error, stats core.Stat
 	return n, rerr, m.Stats()
 }
 
-// TestChaosSeeds pins a deterministic seed table so `go test` (and the
-// make chaos gate) always exercises the chaos harness even when the
+// TestChaosSeeds pins a deterministic seed table so `go test` and
+// `go test -race` always exercise the chaos harness even when the
 // fuzzing engine is not invoked.
 func TestChaosSeeds(t *testing.T) {
 	for seed := uint64(0); seed < 24; seed++ {

@@ -15,9 +15,9 @@
 // The contract with the hot loop is strict: emitters hold a *Recorder
 // that is nil when tracing is off, and every emission site is guarded
 // by that single nil check. With hooks disabled a machine Step performs
-// zero additional allocations and stays within 2% of the recorded
-// BENCH_core.json throughput (`make obs-bench` enforces both); with
-// hooks enabled, recording is observation only — a machine run with a
+// zero allocations (the root TestObsDisabledZeroAllocs pins it on every
+// Table 4.1 load and engine; discbench's core.ns_per_cycle.ld* rows
+// measure the speed); with hooks enabled, recording is observation only — a machine run with a
 // recorder attached is byte-identical to one without (the root
 // obs_equiv_test.go differential proof).
 package obs
