@@ -1,10 +1,15 @@
 package analysis
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"disc/internal/asm"
+	"disc/internal/core"
 	"disc/internal/isa"
 	"disc/internal/rng"
 )
@@ -154,6 +159,44 @@ func TestRandomImagesSummarize(t *testing.T) {
 		if !reflect.DeepEqual(r1, r2) {
 			t.Fatalf("trial %d: reports not idempotent", trial)
 		}
+	}
+}
+
+// randomImagesGolden is the digest of everything Summarize returns for
+// TestRandomImagesSummarize's 200 images. It moves only when what the
+// analyzer reports changes, never with how it computes it.
+const randomImagesGolden = "d7abf88ffaae24e31ae9fce54031a4cdb4b13fa06bdb7f89debe6ded0f6d463a"
+
+// TestRandomImagesGolden pins the analyzer's output over the same 200
+// images TestRandomImagesSummarize draws: the Summary and Report JSON,
+// every non-varies branch fate and the fusible spans at
+// core.MinFuseLen (what the block-engine planner proposes). Random
+// images carry the cases real programs never do — overlapping and
+// wrapping sections, reachable data, illegal words, no labels at all.
+func TestRandomImagesGolden(t *testing.T) {
+	src := rng.New(0xAB51)
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for trial := 0; trial < 200; trial++ {
+		im := randomImage(src)
+		sum, rep := Summarize(im, randomBusOptions(src))
+		var fates []string
+		for _, sec := range im.Sections {
+			for i := range sec.Words {
+				pc := sec.Base + uint16(i)
+				if f := sum.BranchFate(pc); f != FateVaries {
+					fates = append(fates, fmt.Sprintf("%04x:%d", pc, f))
+				}
+			}
+		}
+		for _, v := range []any{sum, rep, fates, sum.FusibleSpans(core.MinFuseLen)} {
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != randomImagesGolden {
+		t.Fatalf("analyzer output over the random images drifted: digest %s, want %s", got, randomImagesGolden)
 	}
 }
 
