@@ -28,8 +28,12 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"disc/internal/asm"
 	"disc/internal/isa"
@@ -225,21 +229,61 @@ func Gate(opts Options) asm.Hook {
 
 // findingf records a diagnostic, filling in label and line position.
 func (a *analyzer) findingf(pass string, sev Severity, addr uint16, format string, args ...any) {
-	f := Finding{
+	a.findings = append(a.findings, Finding{
 		Pass:     pass,
 		Severity: sev,
 		Addr:     addr,
 		Line:     a.im.SourceLines[addr],
+		Label:    a.labels.at(addr),
 		Msg:      fmt.Sprintf(format, args...),
+	})
+}
+
+// labelIndex holds an image's code labels in ascending address order,
+// one entry per labelled address carrying the smallest name placed
+// there. It is built once per analysis, not stored on the image, which
+// concurrent analyses share read-only.
+type labelIndex []label
+
+type label struct {
+	addr uint16
+	name string
+}
+
+func newLabelIndex(labels map[string]uint16) labelIndex {
+	idx := make(labelIndex, 0, len(labels))
+	//detlint:ignore collection pass; sorted before use
+	for name, addr := range labels {
+		idx = append(idx, label{addr, name})
 	}
-	if name, off, ok := a.im.NearestLabel(addr); ok {
-		if off == 0 {
-			f.Label = name
-		} else {
-			f.Label = fmt.Sprintf("%s+%d", name, off)
+	slices.SortFunc(idx, func(x, y label) int {
+		if c := cmp.Compare(x.addr, y.addr); c != 0 {
+			return c
 		}
+		return strings.Compare(x.name, y.name)
+	})
+	return slices.CompactFunc(idx, func(x, y label) bool { return x.addr == y.addr })
+}
+
+// nearest returns the closest label at or before addr, with the word
+// offset from it.
+func (idx labelIndex) nearest(addr uint16) (name string, off uint16, ok bool) {
+	i := sort.Search(len(idx), func(i int) bool { return idx[i].addr > addr })
+	if i == 0 {
+		return "", 0, false
 	}
-	a.findings = append(a.findings, f)
+	l := idx[i-1]
+	return l.name, addr - l.addr, true
+}
+
+// at renders addr's nearest label in the "crc16+3" form diagnostics
+// and block summaries carry, or "" when no label precedes addr.
+func (idx labelIndex) at(addr uint16) string {
+	name, off, ok := idx.nearest(addr)
+	if !ok || off == 0 {
+		return name
+	}
+	return name + "+" + strconv.Itoa(int(off))
 }
 
 // windowBudget returns the spill-advisory depth, or -1 when disabled.

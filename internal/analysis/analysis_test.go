@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"disc/internal/asm"
+	"disc/internal/core"
+	"disc/internal/workload"
+	"disc/internal/xval"
 )
 
 // analyzeSrc assembles src and runs the full pipeline over it.
@@ -500,5 +503,85 @@ main:
 	}
 	if !found {
 		t.Fatalf("hex round-trip lost the bad jump:\n%s", dump(r))
+	}
+}
+
+// TestNearestLabel: the label index answers with the closest label at
+// or before an address, and among labels at one address the smallest
+// name wins.
+func TestNearestLabel(t *testing.T) {
+	im, err := asm.Assemble("a: NOP\n NOP\nb: NOP\n NOP\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := newLabelIndex(im.Labels)
+	if n, off, ok := idx.nearest(1); !ok || n != "a" || off != 1 {
+		t.Fatalf("nearest(1) = %q+%d %v", n, off, ok)
+	}
+	if n, off, ok := idx.nearest(3); !ok || n != "b" || off != 1 {
+		t.Fatalf("nearest(3) = %q+%d %v", n, off, ok)
+	}
+	if got := idx.at(1); got != "a+1" {
+		t.Fatalf("at(1) = %q", got)
+	}
+	if got := idx.at(2); got != "b" {
+		t.Fatalf("at(2) = %q", got)
+	}
+	if _, _, ok := newLabelIndex(nil).nearest(0); ok {
+		t.Fatal("nearest on an image without labels")
+	}
+	tie := newLabelIndex(map[string]uint16{"zeta": 4, "mid": 4, "alpha": 9, "low": 1})
+	if n, off, ok := tie.nearest(7); !ok || n != "mid" || off != 3 {
+		t.Fatalf("tie-break: nearest(7) = %q+%d %v, want mid+3", n, off, ok)
+	}
+	if _, _, ok := tie.nearest(0); ok {
+		t.Fatal("nearest below the lowest label")
+	}
+	if n, off, _ := tie.nearest(0xFFFF); n != "alpha" || off != 0xFFFF-9 {
+		t.Fatalf("nearest(ffff) = %q+%d", n, off)
+	}
+}
+
+// TestSummarizeAllocBudget bounds the allocations of one Summarize
+// over load 1's 1-stream image, the analysis every block-engine fork
+// runs. The analyzer keeps its per-word state in dense tables, so the
+// count tracks the findings and blocks it reports (2 041 when the
+// budget was set), not the image size. The per-address maps and
+// per-visit state copies it replaced cost 25 913 here. A budget
+// overrun means per-word allocation is back.
+func TestSummarizeAllocBudget(t *testing.T) {
+	const budget = 2500
+	s, err := xval.NewLoadSetup(workload.Ld1, 1, 1, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Entries: []uint16{s.Entries[0]}, Streams: 1}
+	for _, d := range s.Devices {
+		opts.BusRanges = append(opts.BusRanges, BusRange{Base: d.Base, Size: d.Size, Wait: d.Wait})
+	}
+	if n := testing.AllocsPerRun(3, func() { Summarize(s.Images[0], opts) }); n > budget {
+		t.Fatalf("Summarize made %.0f allocations, budget %d", n, budget)
+	}
+}
+
+// TestFallThroughWraps: program addresses are 16-bit, so the word
+// after 0xFFFF is 0. A section ending at the top of memory falls
+// through into one assembled at 0.
+func TestFallThroughWraps(t *testing.T) {
+	top, err := asm.Assemble("NOP\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bottom, err := asm.Assemble("HALT\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := &asm.Image{Sections: []asm.Section{
+		{Base: 0xFFFF, Words: top.Sections[0].Words},
+		{Base: 0, Words: bottom.Sections[0].Words},
+	}}
+	r := Analyze(im, Options{Entries: []uint16{0xFFFF}, NoVectors: true})
+	if len(r.Findings) != 0 {
+		t.Fatalf("wrapping fall-through misread:\n%s", dump(r))
 	}
 }

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"fmt"
+	"slices"
 	"sort"
 
 	"disc/internal/asm"
@@ -75,6 +75,13 @@ type BlockSummary struct {
 	// on the ABI (own accesses plus contention), StallUnbounded when no
 	// static bound exists, 0 for bus-free blocks.
 	StallBound int64 `json:"stall_bound"`
+
+	// bridge is the static target of the block's final transfer when
+	// that transfer is proven taken on every execution (JMP, or Bcc
+	// with an always fate); bridged reports whether there is one. It
+	// feeds FusibleSpans and stays out of the pinned JSON schema.
+	bridge  uint16
+	bridged bool
 }
 
 // StreamProfile aggregates block facts over everything reachable from
@@ -104,19 +111,28 @@ type Summary struct {
 	Blocks     []BlockSummary  `json:"blocks"`
 	Profiles   []StreamProfile `json:"profiles,omitempty"`
 
-	// fates carries the value pass's conditional-branch verdicts (see
-	// BranchFate); bridges maps block-terminator addresses to the static
-	// target of a transfer proven taken on every execution (JMP, or Bcc
-	// with an always fate). Both stay unexported: they feed FusibleSpans
-	// and callers via accessors, not the pinned JSON schema.
-	fates   map[uint16]int8
-	bridges map[uint16]uint16
+	// fates lists the value pass's proven conditional-branch verdicts
+	// (see BranchFate) in ascending address order; branches whose
+	// direction varies are left out. It stays unexported: callers read
+	// it through BranchFate, not the pinned JSON schema.
+	fates []branchFateAt
+}
+
+type branchFateAt struct {
+	pc   uint16
+	fate Fate
 }
 
 // BranchFate reports the value pass's verdict for the conditional
 // branch at pc. Addresses that are not reachable conditional branches
 // report FateVaries — the answer that licenses nothing.
-func (s *Summary) BranchFate(pc uint16) Fate { return Fate(s.fates[pc]) }
+func (s *Summary) BranchFate(pc uint16) Fate {
+	i := sort.Search(len(s.fates), func(i int) bool { return s.fates[i].pc >= pc })
+	if i < len(s.fates) && s.fates[i].pc == pc {
+		return s.fates[i].fate
+	}
+	return FateVaries
+}
 
 // BlockAt returns the block containing pc, or nil.
 func (s *Summary) BlockAt(pc uint16) *BlockSummary {
@@ -135,22 +151,24 @@ func Summarize(im *asm.Image, opts Options) (*Summary, *Report) {
 	return a.buildSummary(), rep
 }
 
-// leaders computes the block-leader set over reachable code.
-func (a *analyzer) leaders() map[uint16]bool {
-	l := map[uint16]bool{}
-	//detlint:ignore set-to-set copy; visit order cannot matter
-	for addr := range a.entries {
-		l[addr] = true
+// leaders marks the block leaders among the assembled words: the
+// analysis roots, and whatever follows or is targeted by a reachable
+// control transfer.
+func (a *analyzer) leaders() []bool {
+	l := make([]bool, len(a.code))
+	for i, k := range a.entry {
+		if k != entryNone {
+			l[i] = true
+		}
 	}
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if !a.reach[addr] || ins.bad != nil || ins.data {
+	for i := range a.code {
+		ins := &a.code[i]
+		if !a.reach[i] || ins.bad != nil || ins.data || ins.in.Flow() == isa.FlowFall {
 			continue
 		}
-		if ins.in.Flow() != isa.FlowFall {
-			l[addr+1] = true // whatever follows a transfer starts a block
-			if t, ok := ins.in.StaticTarget(addr); ok {
-				l[t] = true
+		for _, s := range [2]int32{ins.fall, ins.tgt} {
+			if s >= 0 {
+				l[s] = true
 			}
 		}
 	}
@@ -165,62 +183,65 @@ func (a *analyzer) buildSummary() *Summary {
 		Schema:     SummarySchema,
 		Streams:    a.streams(),
 		BusTimeout: a.opts.BusTimeout,
-		fates:      map[uint16]int8{},
-		bridges:    map[uint16]uint16{},
 	}
-	//detlint:ignore set-to-set copy; visit order cannot matter
-	for addr, f := range a.fates {
-		sum.fates[addr] = f
-	}
-	lead := a.leaders()
-
-	var cur *BlockSummary
-	var prev uint16
-	flush := func() {
-		if cur != nil {
-			a.finishBlock(sum, cur)
-			sum.Blocks = append(sum.Blocks, *cur)
-			cur = nil
+	for i, f := range a.fates {
+		if f != fateVaries {
+			sum.fates = append(sum.fates, branchFateAt{a.code[i].addr, Fate(f)})
 		}
 	}
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if !a.reach[addr] || ins.bad != nil || ins.data {
-			flush()
+	// Partition: a block starts at a leader, after a control transfer
+	// and wherever reachable code is not contiguous.
+	lead := a.leaders()
+	var spans [][2]int32 // first and last word of each block
+	open := false
+	for i := range a.code {
+		ins := &a.code[i]
+		if !a.reach[i] || ins.bad != nil || ins.data {
+			open = false
 			continue
 		}
-		if cur == nil || lead[addr] || addr != prev+1 {
-			flush()
-			cur = &BlockSummary{Start: addr, DeltaKnown: true, StallBound: 0}
-			if name, off, ok := a.im.NearestLabel(addr); ok {
-				if off == 0 {
-					cur.Label = name
-				} else {
-					cur.Label = fmt.Sprintf("%s+%d", name, off)
-				}
-			}
+		if !open || lead[i] || ins.addr != a.code[i-1].addr+1 {
+			spans = append(spans, [2]int32{int32(i), int32(i)})
+			open = true
 		}
-		cur.End = addr
-		cur.Len++
-		prev = addr
-		a.accumulate(cur, ins)
+		spans[len(spans)-1][1] = int32(i)
 		if ins.in.Flow() != isa.FlowFall {
-			flush()
+			open = false
 		}
 	}
-	flush()
 
-	sort.Slice(sum.Blocks, func(i, j int) bool { return sum.Blocks[i].Start < sum.Blocks[j].Start })
-	a.buildProfiles(sum)
+	// Blocks stays nil, not empty, for an image without reachable code.
+	sum.Blocks = slices.Grow(sum.Blocks, len(spans))
+	succs := make([]uint16, 0, 2*len(spans)) // backs every block's Succs
+	for _, sp := range spans {
+		start, end := a.code[sp[0]].addr, a.code[sp[1]].addr
+		b := BlockSummary{Start: start, End: end, Len: int(sp[1]-sp[0]) + 1, DeltaKnown: true, Label: a.labels.at(start)}
+		for i := sp[0]; i <= sp[1]; i++ {
+			a.accumulate(&b, i)
+		}
+		n := len(succs)
+		for _, s := range a.code[sp[1]].succs() {
+			if s >= 0 {
+				succs = append(succs, a.code[s].addr)
+			}
+		}
+		if len(succs) > n {
+			b.Succs = succs[n:len(succs):len(succs)]
+			slices.Sort(b.Succs)
+		}
+		a.finishBlock(&b, sp[1])
+		sum.Blocks = append(sum.Blocks, b)
+	}
+	a.buildProfiles(sum, spans)
 	return sum
 }
 
 // accumulate folds one instruction's effects into its block summary.
-func (a *analyzer) accumulate(b *BlockSummary, ins *instr) {
-	in := ins.in
+func (a *analyzer) accumulate(b *BlockSummary, i int32) {
+	in := a.code[i].in
 	if _, _, _, isMem := in.MemAccess(); isMem {
 		ea := topv()
-		if st := a.vals[ins.addr]; st != nil {
+		if st := a.vals[i]; st != nil {
 			if v, ok := eaInterval(in, st); ok {
 				ea = v
 			}
@@ -252,16 +273,11 @@ func (a *analyzer) accumulate(b *BlockSummary, ins *instr) {
 	}
 }
 
-// finishBlock computes the derived fields once the block is complete.
-func (a *analyzer) finishBlock(sum *Summary, b *BlockSummary) {
+// finishBlock computes the derived fields once the block, ending at
+// word i, is complete.
+func (a *analyzer) finishBlock(b *BlockSummary, i int32) {
 	b.EventFree = b.BusAccesses == 0 && !b.IRQVisible && !b.StreamControl && b.DeltaKnown
-	last := a.code[b.End]
-	for _, s := range a.succs(last) {
-		if _, assembled := a.code[s]; assembled {
-			b.Succs = append(b.Succs, s)
-		}
-	}
-	sort.Slice(b.Succs, func(i, j int) bool { return b.Succs[i] < b.Succs[j] })
+	last := &a.code[i]
 
 	// Record proven-taken static transfers for FusibleSpans bridging: an
 	// unconditional jump, or a conditional branch the value pass proved
@@ -269,14 +285,10 @@ func (a *analyzer) finishBlock(sum *Summary, b *BlockSummary) {
 	// dead fall-through. Calls don't qualify — they come back.
 	switch last.in.Flow() {
 	case isa.FlowJump:
-		if t, ok := last.in.StaticTarget(b.End); ok {
-			sum.bridges[b.End] = t
-		}
+		b.bridge, b.bridged = last.in.StaticTarget(b.End)
 	case isa.FlowCond:
-		if a.fates[b.End] == fateAlways {
-			if t, ok := last.in.StaticTarget(b.End); ok {
-				sum.bridges[b.End] = t
-			}
+		if a.fates[i] == fateAlways {
+			b.bridge, b.bridged = last.in.StaticTarget(b.End)
 		}
 	}
 }
@@ -376,40 +388,38 @@ func (a *analyzer) stallPerAccess(ea ival) int64 {
 // stream entries), walking everything the stream can execute —
 // including callees, which run on the stream even though the depth and
 // use-def passes analyze them as separate roots.
-func (a *analyzer) buildProfiles(sum *Summary) {
-	var entries []uint16
-	//detlint:ignore collection pass; sorted before use
-	for addr, k := range a.entries {
-		if k == entryStream {
-			entries = append(entries, addr)
+func (a *analyzer) buildProfiles(sum *Summary, spans [][2]int32) {
+	reached := make([]bool, len(a.code))
+	var work []int32
+	for e, k := range a.entry {
+		if k != entryStream {
+			continue
 		}
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
-
-	for _, e := range entries {
-		reached := map[uint16]bool{}
-		work := []uint16{e}
+		clear(reached)
+		work = append(work[:0], int32(e))
 		for len(work) > 0 {
-			addr := work[len(work)-1]
+			i := work[len(work)-1]
 			work = work[:len(work)-1]
-			if reached[addr] {
+			ins := &a.code[i]
+			if reached[i] || ins.bad != nil || ins.data {
 				continue
 			}
-			ins, ok := a.code[addr]
-			if !ok || ins.bad != nil || ins.data {
-				continue
-			}
-			reached[addr] = true
-			work = append(work, a.succs(ins)...)
+			reached[i] = true
 			// succs excludes indirect targets; call targets it includes.
+			for _, s := range ins.succs() {
+				if s >= 0 {
+					work = append(work, s)
+				}
+			}
 		}
-		p := StreamProfile{Entry: e, Bounded: true}
-		if name, off, ok := a.im.NearestLabel(e); ok && off == 0 {
+		entry := a.code[e].addr
+		p := StreamProfile{Entry: entry, Bounded: true}
+		if name, off, ok := a.labels.nearest(entry); ok && off == 0 {
 			p.Label = name
 		}
-		for i := range sum.Blocks {
-			b := &sum.Blocks[i]
-			if !reached[b.Start] {
+		for bi := range sum.Blocks {
+			b := &sum.Blocks[bi]
+			if !reached[spans[bi][0]] {
 				continue
 			}
 			p.Blocks++

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"disc/internal/asm"
@@ -18,7 +20,11 @@ type instr struct {
 	word isa.Word
 	data bool // emitted by .word/.space
 	in   isa.Instruction
-	bad  error // decode failure
+	// tgt and fall are the indices in analyzer.code of the static
+	// target (JMP, CALL, Bcc) and of addr+1, or -1 where there is no
+	// such target or the address holds no assembled word.
+	tgt, fall int32
+	bad       error // decode failure
 }
 
 // entryKind ranks how much the analyzer knows about machine state at
@@ -33,59 +39,76 @@ const (
 	entryStream           // explicit stream start: nothing defined
 )
 
+// analyzer holds one run's state. Every per-address table is a dense
+// slice indexed like code, the image's assembled words in ascending
+// address order, and at maps an address to that index. Nothing is
+// sized to the 64K address space or keyed by a hash map, so a run's
+// allocations track the findings and blocks it reports, not the
+// image's size. The fixpoint passes seed their worklists by walking
+// entry in index order, which is address order: with widening (value
+// pass) and first-report-wins diagnostics (window, usedef), seeding
+// order is observable.
 type analyzer struct {
-	im   *asm.Image
-	opts Options
+	im     *asm.Image
+	opts   Options
+	labels labelIndex
 
-	code     map[uint16]*instr
-	addrs    []uint16 // sorted
-	entries  map[uint16]entryKind
-	reach    map[uint16]bool
+	code     []instr     // assembled words, ascending address, first section wins
+	entry    []entryKind // analysis root kind per word, entryNone if not a root
+	reach    []bool
 	findings []Finding
 
 	// Value-pass fixpoint results, consumed by the livelock pass and
 	// the block-summary layer.
-	vals  map[uint16]*vstate // final in-state per reachable instruction
-	fates map[uint16]int8    // final fate per conditional branch
+	vals  []*vstate // final in-state per word; nil where the pass never reached
+	fates []int8    // final fate per conditional branch, fateVaries elsewhere
 }
 
 func newAnalyzer(im *asm.Image, opts Options) *analyzer {
-	a := &analyzer{
-		im:      im,
-		opts:    opts,
-		code:    map[uint16]*instr{},
-		entries: map[uint16]entryKind{},
-		reach:   map[uint16]bool{},
+	a := &analyzer{im: im, opts: opts, labels: newLabelIndex(im.Labels)}
+	n := 0
+	for _, sec := range im.Sections {
+		n += len(sec.Words)
 	}
+	a.code = make([]instr, 0, n)
 	for _, sec := range im.Sections {
 		for i, w := range sec.Words {
-			addr := sec.Base + uint16(i)
-			if _, dup := a.code[addr]; dup {
-				continue // overlap reported separately
-			}
-			ins := &instr{addr: addr, word: w, data: im.Data[addr]}
-			ins.in, ins.bad = isa.Decode(w)
-			a.code[addr] = ins
-			a.addrs = append(a.addrs, addr)
+			a.code = append(a.code, instr{addr: sec.Base + uint16(i), word: w})
 		}
 	}
-	sort.Slice(a.addrs, func(i, j int) bool { return a.addrs[i] < a.addrs[j] })
+	// Stable, so of two overlapping sections the earlier keeps the
+	// word; the overlap itself is reported by checkOverlap. Images
+	// usually list their sections in address order already.
+	byAddr := func(x, y instr) int { return cmp.Compare(x.addr, y.addr) }
+	if !slices.IsSortedFunc(a.code, byAddr) {
+		slices.SortStableFunc(a.code, byAddr)
+	}
+	a.code = slices.CompactFunc(a.code, func(x, y instr) bool { return x.addr == y.addr })
+	for i := range a.code {
+		ins := &a.code[i]
+		ins.data = im.Data[ins.addr]
+		ins.in, ins.bad = isa.Decode(ins.word)
+		ins.tgt, ins.fall = -1, -1
+		if t, ok := ins.in.StaticTarget(ins.addr); ok && ins.bad == nil {
+			ins.tgt = a.at(t)
+		}
+		// addr+1 can only sit at the next index, or wrap to index 0.
+		if next := (i + 1) % len(a.code); a.code[next].addr == ins.addr+1 {
+			ins.fall = int32(next)
+		}
+	}
+	a.entry = make([]entryKind, len(a.code))
+	a.reach = make([]bool, len(a.code))
 	return a
 }
 
-// sortedEntries returns the entry addresses in ascending order. The
-// fixpoint passes seed their worklists from this, not from the entries
-// map directly: with widening (value pass) and first-report-wins
-// diagnostics (window, usedef), seeding order is observable, and map
-// order would make two runs over the same image disagree.
-func (a *analyzer) sortedEntries() []uint16 {
-	out := make([]uint16, 0, len(a.entries))
-	//detlint:ignore collection pass; sorted before use
-	for addr := range a.entries {
-		out = append(out, addr)
+// at returns the index in a.code of the word assembled at addr, or -1.
+func (a *analyzer) at(addr uint16) int32 {
+	i := sort.Search(len(a.code), func(i int) bool { return a.code[i].addr >= addr })
+	if i < len(a.code) && a.code[i].addr == addr {
+		return int32(i)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return -1
 }
 
 func (a *analyzer) streams() int {
@@ -118,8 +141,8 @@ func (a *analyzer) checkOverlap() {
 // program's instructions and must decode; data words are checked later
 // only if control can reach them.
 func (a *analyzer) checkDecode() {
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
+	for i := range a.code {
+		ins := &a.code[i]
 		if ins.data || ins.bad == nil {
 			continue
 		}
@@ -139,44 +162,62 @@ func (a *analyzer) decodeFinding(ins *instr) {
 	a.findingf(PassDecode, Error, ins.addr, "illegal encoding %#06x: %v", uint32(ins.word), ins.bad)
 }
 
-// succs returns the static successor addresses of an instruction and
-// whether the instruction also transfers to a call target (which is
-// analyzed as its own entry, not followed inline).
-func (a *analyzer) succs(ins *instr) []uint16 {
+// noSuccs is the successor pair of a word control cannot pass.
+var noSuccs = [2]int32{-1, -1}
+
+// succs returns the static successors of an instruction that land on
+// assembled words, as indices into a.code: the jump, branch or call
+// target first, then the fall-through, -1 for an absent edge. A CALL's
+// target is included; passes that follow one frame use frameSuccs.
+func (ins *instr) succs() [2]int32 {
 	if ins.bad != nil {
-		return nil // cannot execute past an illegal instruction
+		return noSuccs // cannot execute past an illegal instruction
 	}
 	switch ins.in.Flow() {
 	case isa.FlowJump:
-		if t, ok := ins.in.StaticTarget(ins.addr); ok {
-			return []uint16{t}
-		}
-		return nil
-	case isa.FlowCond:
-		t, _ := ins.in.StaticTarget(ins.addr)
-		return []uint16{t, ins.addr + 1}
-	case isa.FlowCall:
-		t, _ := ins.in.StaticTarget(ins.addr)
-		return []uint16{t, ins.addr + 1}
-	case isa.FlowCallIndirect:
-		return []uint16{ins.addr + 1}
+		return [2]int32{ins.tgt, -1}
+	case isa.FlowCond, isa.FlowCall:
+		return [2]int32{ins.tgt, ins.fall}
 	case isa.FlowIndirect, isa.FlowReturn, isa.FlowHalt:
-		return nil
+		return noSuccs
 	}
-	return []uint16{ins.addr + 1}
+	return [2]int32{-1, ins.fall} // FlowFall, FlowCallIndirect
 }
 
-// vectorSlots yields the assembled interrupt-vector slot addresses
-// (bits 7..1 of each stream; bit 0 is background and never vectors).
-func (a *analyzer) vectorSlots(visit func(addr uint16, stream int, bit uint8)) {
+// frameSuccs returns the successors that continue the instruction's own
+// frame when its conditional branch (if any) has the given fate: a
+// CALL's target is analyzed as its own entryCall root, and a branch
+// proven never (always) taken loses its taken (fall-through) edge. A
+// target that coincides with the fall-through keeps both edges.
+func (ins *instr) frameSuccs(fate int8) [2]int32 {
+	s := ins.succs()
+	if s[0] == s[1] {
+		return s
+	}
+	switch ins.in.Flow() {
+	case isa.FlowCall:
+		s[0] = -1
+	case isa.FlowCond:
+		switch fate {
+		case fateNever:
+			s[0] = -1
+		case fateAlways:
+			s[1] = -1
+		}
+	}
+	return s
+}
+
+// vectorSlots yields the assembled interrupt-vector slots (bits 7..1 of
+// each stream; bit 0 is background and never vectors) by index.
+func (a *analyzer) vectorSlots(visit func(i int32, stream int, bit uint8)) {
 	if a.opts.NoVectors {
 		return
 	}
 	for s := 0; s < a.streams(); s++ {
 		for bit := uint8(1); bit < isa.NumIRBits; bit++ {
-			addr := interrupt.Vector(a.opts.VectorBase, uint8(s), bit)
-			if _, ok := a.code[addr]; ok {
-				visit(addr, s, bit)
+			if i := a.at(interrupt.Vector(a.opts.VectorBase, uint8(s), bit)); i >= 0 {
+				visit(i, s, bit)
 			}
 		}
 	}
@@ -190,17 +231,20 @@ func (a *analyzer) vectorSlots(visit func(addr uint16, stream int, bit uint8)) {
 // that is what keeps loop-header labels from seeding bogus
 // depth-conflict reports.
 func (a *analyzer) findEntries() {
-	add := func(addr uint16, k entryKind) {
-		if k > a.entries[addr] {
-			a.entries[addr] = k
+	explicit := false
+	add := func(i int32, k entryKind) {
+		if k > a.entry[i] {
+			a.entry[i] = k
 		}
 	}
 	for _, e := range a.opts.Entries {
-		if _, ok := a.code[e]; !ok {
+		i := a.at(e)
+		if i < 0 {
 			a.findingf(PassCFG, Error, e, "entry %04x: no assembled code at this address", e)
 			continue
 		}
-		add(e, entryStream)
+		add(i, entryStream)
+		explicit = true
 	}
 	for _, name := range a.opts.EntryLabels {
 		addr, ok := a.im.Labels[name]
@@ -213,66 +257,53 @@ func (a *analyzer) findEntries() {
 			})
 			continue
 		}
-		if _, ok := a.code[addr]; !ok {
+		i := a.at(addr)
+		if i < 0 {
 			a.findingf(PassCFG, Error, addr, "entry label %q: no assembled code at %04x", name, addr)
 			continue
 		}
-		add(addr, entryStream)
+		add(i, entryStream)
+		explicit = true
 	}
-	explicit := len(a.entries) > 0
-	a.vectorSlots(func(addr uint16, stream int, bit uint8) {
-		add(addr, entryVector)
-		a.checkVectorSlot(addr, stream, bit)
+	a.vectorSlots(func(i int32, stream int, bit uint8) {
+		add(i, entryVector)
+		a.checkVectorSlot(&a.code[i], stream, bit)
 	})
 	// A label-less image (hex round-trips strip all symbols) would
 	// otherwise have no roots at all and every finding would drown in
 	// "unreachable code": treat each section base as a lenient root.
 	if !explicit && !a.hasCodeLabels() {
 		for _, sec := range a.im.Sections {
-			if _, ok := a.code[sec.Base]; ok {
-				add(sec.Base, entryLabel)
+			if i := a.at(sec.Base); i >= 0 {
+				add(i, entryLabel)
 			}
 		}
 	}
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if ins.data || ins.bad != nil {
-			continue
-		}
-		if ins.in.Flow() == isa.FlowCall {
-			if t, ok := ins.in.StaticTarget(addr); ok {
-				if _, assembled := a.code[t]; assembled {
-					add(t, entryCall)
-				}
-			}
+	for i := range a.code {
+		ins := &a.code[i]
+		if !ins.data && ins.bad == nil && ins.in.Flow() == isa.FlowCall && ins.tgt >= 0 {
+			add(ins.tgt, entryCall)
 		}
 	}
-	//detlint:ignore reachability closure; the grown set is order-independent
-	for addr := range a.entries {
-		a.grow(addr)
+	for i, k := range a.entry {
+		if k != entryNone {
+			a.grow(int32(i))
+		}
 	}
 	// Labels nothing reaches become lenient roots, in address order for
 	// deterministic output.
-	var labels []uint16
-	for _, addr := range a.im.Labels {
-		labels = append(labels, addr)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	for _, addr := range labels {
-		if _, ok := a.code[addr]; !ok {
-			continue // .equ-like or data-only label handled elsewhere
-		}
-		if !a.reach[addr] {
-			add(addr, entryLabel)
-			a.grow(addr)
+	for _, l := range a.labels {
+		if i := a.at(l.addr); i >= 0 && !a.reach[i] {
+			add(i, entryLabel)
+			a.grow(i)
 		}
 	}
 }
 
 // hasCodeLabels reports whether any label names an assembled address.
 func (a *analyzer) hasCodeLabels() bool {
-	for _, addr := range a.im.Labels {
-		if _, ok := a.code[addr]; ok {
+	for _, l := range a.labels {
+		if a.at(l.addr) >= 0 {
 			return true
 		}
 	}
@@ -280,21 +311,21 @@ func (a *analyzer) hasCodeLabels() bool {
 }
 
 // grow extends the reachable set with everything transitively reachable
-// from addr.
-func (a *analyzer) grow(addr uint16) {
-	work := []uint16{addr}
+// from word i.
+func (a *analyzer) grow(i int32) {
+	work := []int32{i}
 	for len(work) > 0 {
 		cur := work[len(work)-1]
 		work = work[:len(work)-1]
 		if a.reach[cur] {
 			continue
 		}
-		ins, ok := a.code[cur]
-		if !ok {
-			continue
-		}
 		a.reach[cur] = true
-		work = append(work, a.succs(ins)...)
+		for _, s := range a.code[cur].succs() {
+			if s >= 0 {
+				work = append(work, s)
+			}
+		}
 	}
 }
 
@@ -302,14 +333,13 @@ func (a *analyzer) grow(addr uint16) {
 // hardware redirects the stream's next fetch straight at it (§3.6.3),
 // so it must hold an executable instruction, not table data or a
 // leftover encoding.
-func (a *analyzer) checkVectorSlot(addr uint16, stream int, bit uint8) {
-	ins := a.code[addr]
+func (a *analyzer) checkVectorSlot(ins *instr, stream int, bit uint8) {
 	switch {
 	case ins.data:
-		a.findingf(PassVector, Error, addr,
+		a.findingf(PassVector, Error, ins.addr,
 			"interrupt vector slot (stream %d, bit %d) holds .word data, not code", stream, bit)
 	case ins.bad != nil:
-		a.findingf(PassVector, Error, addr,
+		a.findingf(PassVector, Error, ins.addr,
 			"interrupt vector slot (stream %d, bit %d) does not decode: %v", stream, bit, ins.bad)
 	}
 }
@@ -319,29 +349,23 @@ func (a *analyzer) checkVectorSlot(addr uint16, stream int, bit uint8) {
 // fallthrough must not run off the end of the image into the NOP sled
 // of uninitialised program memory.
 func (a *analyzer) checkFlowEdges() {
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if !a.reach[addr] || ins.bad != nil {
+	for i := range a.code {
+		ins := &a.code[i]
+		if !a.reach[i] || ins.bad != nil {
 			continue
 		}
 		if ins.data {
-			a.findingf(PassReach, Warning, addr,
+			a.findingf(PassReach, Warning, ins.addr,
 				".word data is reachable as code (executes as %s)", ins.in)
 		}
-		if t, ok := ins.in.StaticTarget(addr); ok {
-			if _, assembled := a.code[t]; !assembled {
-				a.findingf(PassCFG, Error, addr,
-					"%s targets %04x, outside the assembled image", ins.in.Op, t)
-			}
+		if t, ok := ins.in.StaticTarget(ins.addr); ok && ins.tgt < 0 {
+			a.findingf(PassCFG, Error, ins.addr,
+				"%s targets %04x, outside the assembled image", ins.in.Op, t)
 		}
-		fallsThrough := false
 		switch ins.in.Flow() {
 		case isa.FlowFall, isa.FlowCond, isa.FlowCall, isa.FlowCallIndirect:
-			fallsThrough = true
-		}
-		if fallsThrough {
-			if _, assembled := a.code[addr+1]; !assembled {
-				a.findingf(PassCFG, Warning, addr,
+			if ins.fall < 0 {
+				a.findingf(PassCFG, Warning, ins.addr,
 					"control falls off the assembled image after %s", ins.in.Op)
 			}
 		}
@@ -352,9 +376,8 @@ func (a *analyzer) checkFlowEdges() {
 // even decode — they would raise illegal-instruction at run time.
 // (Reachable data that does decode already got the reach warning.)
 func (a *analyzer) checkDecodeReachableData() {
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if ins.data && a.reach[addr] && ins.bad != nil {
+	for i := range a.code {
+		if ins := &a.code[i]; ins.data && a.reach[i] && ins.bad != nil {
 			a.decodeFinding(ins)
 		}
 	}
@@ -371,20 +394,19 @@ func (a *analyzer) checkUnreachable() {
 		}
 	}
 	prev := uint16(0)
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		dead := !ins.data && !a.reach[addr]
-		if dead {
-			if runLen > 0 && addr == prev+1 {
-				runLen++
-			} else {
-				flush()
-				runStart, runLen = addr, 1
-			}
-			prev = addr
+	for i := range a.code {
+		addr := a.code[i].addr
+		if a.code[i].data || a.reach[i] {
+			flush()
+			continue
+		}
+		if runLen > 0 && addr == prev+1 {
+			runLen++
 		} else {
 			flush()
+			runStart, runLen = addr, 1
 		}
+		prev = addr
 	}
 	flush()
 }

@@ -59,6 +59,7 @@ func (s *Summary) FusibleSpans(minLen int) []Span {
 	type chain struct {
 		span Span
 		n    int
+		last *BlockSummary // the chain's final block, whose bridge it may take
 	}
 	var chains []chain
 	i := 0
@@ -76,7 +77,7 @@ func (s *Summary) FusibleSpans(minLen int) []Span {
 			n += s.Blocks[j].Len
 			j++
 		}
-		chains = append(chains, chain{Span{Start: start, End: end}, n})
+		chains = append(chains, chain{Span{Start: start, End: end}, n, &s.Blocks[j-1]})
 		i = j
 	}
 
@@ -86,13 +87,13 @@ func (s *Summary) FusibleSpans(minLen int) []Span {
 		c := chains[k]
 		for k+1 < len(chains) {
 			next := chains[k+1]
-			t, ok := s.bridges[c.span.End]
 			gap := int(next.span.Start) - int(c.span.End) - 1
-			if !ok || t != next.span.Start || gap < 1 || gap > MaxBridgeGap {
+			if !c.last.bridged || c.last.bridge != next.span.Start || gap < 1 || gap > MaxBridgeGap {
 				break
 			}
 			c.span.End = next.span.End
 			c.n += next.n
+			c.last = next.last
 			k++
 		}
 		if c.n >= minLen {

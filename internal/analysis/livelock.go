@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"disc/internal/isa"
-)
+import "disc/internal/isa"
 
 // Static-livelock pass. A stream stuck in a loop that never performs a
 // memory access, never touches the interrupt structure and never
@@ -43,99 +39,69 @@ func escapes(in isa.Instruction) bool {
 	return false
 }
 
-// prunedSuccs returns the instruction's successors with provably dead
-// conditional edges removed.
-func (a *analyzer) prunedSuccs(ins *instr) []uint16 {
-	ss := a.succs(ins)
-	if ins.in.Flow() != isa.FlowCond || a.fates == nil {
-		return ss
-	}
-	t, _ := ins.in.StaticTarget(ins.addr)
-	fate := a.fates[ins.addr]
-	out := ss[:0:0]
-	for _, s := range ss {
-		if fate == fateNever && s == t && s != ins.addr+1 {
-			continue
-		}
-		if fate == fateAlways && s == ins.addr+1 && s != t {
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
-}
-
 // livelockPass finds yield-free cycles and reports each once, at the
 // lowest address of the component.
 func (a *analyzer) livelockPass() {
+	n := len(a.code)
 	// Graph over reachable, decodable instructions only.
-	nodes := make([]uint16, 0, len(a.addrs))
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if a.reach[addr] && ins.bad == nil && !ins.data {
-			nodes = append(nodes, addr)
-		}
+	inGraph := make([]bool, n)
+	for i := range a.code {
+		ins := &a.code[i]
+		inGraph[i] = a.reach[i] && ins.bad == nil && !ins.data
 	}
-	inGraph := make(map[uint16]bool, len(nodes))
-	for _, n := range nodes {
-		inGraph[n] = true
-	}
-	edges := func(addr uint16) []uint16 {
-		ins := a.code[addr]
-		var out []uint16
-		for _, s := range a.prunedSuccs(ins) {
-			// Call targets are separate roots; the loop body is the
-			// fallthrough path.
-			if ins.in.Flow() == isa.FlowCall {
-				if t, _ := ins.in.StaticTarget(addr); s == t && s != addr+1 {
-					continue
-				}
-			}
-			if inGraph[s] {
-				out = append(out, s)
+	// Edges drop provably dead branch edges (value pass fates) and call
+	// targets, which are separate roots: the loop body is the
+	// fall-through path.
+	edges := func(v int32) [2]int32 {
+		out := a.code[v].frameSuccs(a.fates[v])
+		for k, s := range out {
+			if s >= 0 && !inGraph[s] {
+				out[k] = -1
 			}
 		}
 		return out
 	}
 
-	// Iterative Tarjan.
-	index := make(map[uint16]int, len(nodes))
-	low := make(map[uint16]int, len(nodes))
-	onStack := make(map[uint16]bool, len(nodes))
-	var stack []uint16
-	var sccs [][]uint16
-	next := 0
+	// Iterative Tarjan. order and low count from 1 so that 0 marks an
+	// unvisited node; comp is the component a popped node landed in.
+	order := make([]int32, n)
+	low := make([]int32, n)
+	comp := make([]int32, n)
+	onStack := make([]bool, n)
+	next, ncomp := int32(0), int32(0)
 
 	type frame struct {
-		v    uint16
-		succ []uint16
+		v    int32
+		succ [2]int32
 		i    int
 	}
-	for _, root := range nodes {
-		if _, seen := index[root]; seen {
+	// Straight-line code makes the DFS as deep as the image is long, so
+	// both stacks start at full size rather than grow there.
+	stack := make([]int32, 0, n)
+	call := make([]frame, 0, n)
+	push := func(v int32) {
+		next++
+		order[v], low[v] = next, next
+		stack = append(stack, v)
+		onStack[v] = true
+		call = append(call, frame{v: v, succ: edges(v)})
+	}
+	for root := range a.code {
+		if !inGraph[root] || order[root] != 0 {
 			continue
 		}
-		var call []frame
-		push := func(v uint16) {
-			index[v] = next
-			low[v] = next
-			next++
-			stack = append(stack, v)
-			onStack[v] = true
-			call = append(call, frame{v: v, succ: edges(v)})
-		}
-		push(root)
+		push(int32(root))
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			if f.i < len(f.succ) {
 				w := f.succ[f.i]
 				f.i++
-				if _, seen := index[w]; !seen {
+				switch {
+				case w < 0:
+				case order[w] == 0:
 					push(w)
-				} else if onStack[w] {
-					if index[w] < low[f.v] {
-						low[f.v] = index[w]
-					}
+				case onStack[w]:
+					low[f.v] = min(low[f.v], order[w])
 				}
 				continue
 			}
@@ -144,61 +110,57 @@ func (a *analyzer) livelockPass() {
 			call = call[:len(call)-1]
 			if len(call) > 0 {
 				p := &call[len(call)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
+				low[p.v] = min(low[p.v], low[v])
 			}
-			if low[v] == index[v] {
-				var comp []uint16
+			if low[v] == order[v] {
+				ncomp++
+				k := len(stack)
 				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
+					k--
+					w := stack[k]
 					onStack[w] = false
-					comp = append(comp, w)
+					comp[w] = ncomp
 					if w == v {
 						break
 					}
 				}
-				sccs = append(sccs, comp)
+				a.checkLivelock(stack[k:], comp, edges)
+				stack = stack[:k]
 			}
 		}
 	}
+}
 
-	for _, comp := range sccs {
-		inComp := make(map[uint16]bool, len(comp))
-		for _, v := range comp {
-			inComp[v] = true
-		}
-		// Must actually cycle.
-		cycles := len(comp) > 1
-		if !cycles {
-			for _, s := range edges(comp[0]) {
-				if s == comp[0] {
-					cycles = true
-				}
+// checkLivelock reports one strongly connected component, whose
+// members all carry the same number in comp, when it cycles, has no
+// exit edge and contains no escape.
+func (a *analyzer) checkLivelock(members, comp []int32, edges func(int32) [2]int32) {
+	c := comp[members[0]]
+	// Must actually cycle.
+	cycles := len(members) > 1
+	if !cycles {
+		for _, s := range edges(members[0]) {
+			if s == members[0] {
+				cycles = true
 			}
 		}
-		if !cycles {
-			continue
-		}
-		hasEscape, hasExit := false, false
-		for _, v := range comp {
-			if escapes(a.code[v].in) {
-				hasEscape = true
-				break
-			}
-			for _, s := range edges(v) {
-				if !inComp[s] {
-					hasExit = true
-				}
-			}
-		}
-		if hasEscape || hasExit {
-			continue
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		a.findingf(PassLivelock, Warning, comp[0],
-			"busy loop with no IRQ-visible yield: this %d-instruction cycle performs no memory access, WAITI, or interrupt-visible operation and has no exit edge (static livelock)",
-			len(comp))
 	}
+	if !cycles {
+		return
+	}
+	first := members[0]
+	for _, v := range members {
+		if escapes(a.code[v].in) {
+			return
+		}
+		for _, s := range edges(v) {
+			if s >= 0 && comp[s] != c {
+				return // an exit edge
+			}
+		}
+		first = min(first, v)
+	}
+	a.findingf(PassLivelock, Warning, a.code[first].addr,
+		"busy loop with no IRQ-visible yield: this %d-instruction cycle performs no memory access, WAITI, or interrupt-visible operation and has no exit edge (static livelock)",
+		len(members))
 }

@@ -45,65 +45,71 @@ func entryMask(k entryKind) uint16 {
 	}
 }
 
+// defState is the use-def fact at one word.
+type defState struct {
+	set      bool
+	mask     uint16 // definedness bits reaching the word on every path
+	reported uint16 // definedness bits already reported undefined here
+}
+
 func (a *analyzer) useDefPass() {
-	in := map[uint16]uint16{}
-	var work []uint16
+	states := make([]defState, len(a.code))
+	var work []int32
 
-	merge := func(addr uint16, mask uint16) {
-		old, ok := in[addr]
-		if !ok {
-			in[addr] = mask
-			work = append(work, addr)
+	merge := func(i int32, mask uint16) {
+		st := &states[i]
+		if !st.set {
+			st.set, st.mask = true, mask
+			work = append(work, i)
 			return
 		}
-		if next := old & mask; next != old {
-			in[addr] = next
-			work = append(work, addr)
+		if next := st.mask & mask; next != st.mask {
+			st.mask = next
+			work = append(work, i)
 		}
 	}
-	for _, addr := range a.sortedEntries() {
-		merge(addr, entryMask(a.entries[addr]))
-	}
-
-	reported := map[uint32]bool{}
-	report := func(addr uint16, bit uint16, format string, args ...any) {
-		key := uint32(addr)<<10 | uint32(bit)
-		if reported[key] {
-			return
+	for i, k := range a.entry {
+		if k != entryNone {
+			merge(int32(i), entryMask(k))
 		}
-		reported[key] = true
-		a.findingf(PassUseDef, Warning, addr, format, args...)
 	}
 
 	for len(work) > 0 {
-		addr := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		ins, ok := a.code[addr]
-		if !ok || ins.bad != nil {
+		ins := &a.code[i]
+		if ins.bad != nil {
 			continue
 		}
-		inst := ins.in
-		state := in[addr]
+		inst, st := ins.in, &states[i]
+		state := st.mask
+		report := func(bit uint16, format string, args ...any) {
+			if st.reported&(1<<bit) != 0 {
+				return
+			}
+			st.reported |= 1 << bit
+			a.findingf(PassUseDef, Warning, ins.addr, format, args...)
+		}
 
 		// Reads first: operands are sampled before results land.
 		for _, r := range inst.RegReads() {
 			switch {
 			case r.IsWindow():
 				if state&(1<<r) == 0 {
-					report(addr, uint16(r), "%s reads %s before any write on a path from a stream entry (use-before-def)", inst.Op, r)
+					report(uint16(r), "%s reads %s before any write on a path from a stream entry (use-before-def)", inst.Op, r)
 				}
 			case r == isa.H:
 				if state&defH == 0 {
-					report(addr, 8, "%s reads H before any MUL on this path", inst.Op)
+					report(8, "%s reads H before any MUL on this path", inst.Op)
 				}
 			}
 			// SR as a data operand is a context save, not a flags use.
 		}
 		if inst.ReadsH() && state&defH == 0 {
-			report(addr, 8, "MFS reads H before any MUL on this path")
+			report(8, "MFS reads H before any MUL on this path")
 		}
 		if inst.ReadsFlags() && state&defFlags == 0 {
-			report(addr, 9, "B%s tests condition flags never set on a path from a stream entry", inst.Cond)
+			report(9, "B%s tests condition flags never set on a path from a stream entry", inst.Cond)
 		}
 
 		// Writes and clobbers.
@@ -136,13 +142,9 @@ func (a *analyzer) useDefPass() {
 			out |= defFlags | defH
 		}
 
-		for _, s := range a.succs(ins) {
-			if flow == isa.FlowCall {
-				if t, _ := inst.StaticTarget(addr); s == t && s != addr+1 {
-					continue // callee analyzed from its own root
-				}
-			}
-			if _, assembled := a.code[s]; assembled {
+		// The callee is analyzed from its own root.
+		for _, s := range ins.frameSuccs(fateVaries) {
+			if s >= 0 {
 				merge(s, out)
 			}
 		}

@@ -354,17 +354,12 @@ type vstate struct {
 	fl   flagsAbs
 }
 
-func topState() *vstate {
-	st := &vstate{h: topv(), fl: flagsTop()}
+func topState() vstate {
+	st := vstate{h: topv(), fl: flagsTop()}
 	for i := range st.regs {
 		st.regs[i] = topv()
 	}
 	return st
-}
-
-func (st *vstate) clone() *vstate {
-	c := *st
-	return &c
 }
 
 // mergeInto widens st with in; reports whether st changed.
@@ -449,78 +444,67 @@ func eaInterval(in isa.Instruction, st *vstate) (ival, bool) {
 // final states and branch fates for the block and livelock layers, and
 // emits the value findings.
 func (a *analyzer) valuePass() {
-	a.vals = map[uint16]*vstate{}
-	a.fates = map[uint16]int8{}
-	fateSeen := map[uint16]bool{}
-	var work []uint16
+	n := len(a.code)
+	states := make([]vstate, n)
+	a.vals = make([]*vstate, n)
+	a.fates = make([]int8, n)
+	fateSeen := make([]bool, n)
+	var work []int32
 
-	merge := func(addr uint16, in *vstate) {
-		st, ok := a.vals[addr]
-		if !ok {
-			a.vals[addr] = in.clone()
-			work = append(work, addr)
+	merge := func(i int32, in *vstate) {
+		st := a.vals[i]
+		if st == nil {
+			states[i] = *in
+			a.vals[i] = &states[i]
+			work = append(work, i)
 			return
 		}
 		if st.mergeInto(in) {
-			work = append(work, addr)
+			work = append(work, i)
 		}
 	}
 
-	for _, addr := range a.sortedEntries() {
-		merge(addr, topState())
+	top := topState()
+	for i, k := range a.entry {
+		if k != entryNone {
+			merge(int32(i), &top)
+		}
 	}
 
 	for len(work) > 0 {
-		addr := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		ins, ok := a.code[addr]
-		if !ok || ins.bad != nil {
+		ins := &a.code[i]
+		if ins.bad != nil {
 			continue
 		}
 		in := ins.in
-		out := a.vals[addr].clone()
-		a.transfer(in, out)
+		out := *a.vals[i]
+		a.transfer(in, &out)
 
 		// Conditional branches: decide the fate in the current state and
 		// join it across visits; prune propagation along provably dead
 		// edges (re-propagated automatically if widening revives them).
 		var fate int8
-		if in.Flow() == isa.FlowCond {
-			fate = branchFate(in.Cond, a.vals[addr].fl)
-			if fateSeen[addr] && a.fates[addr] != fate {
+		flow := in.Flow()
+		if flow == isa.FlowCond {
+			fate = branchFate(in.Cond, a.vals[i].fl)
+			if fateSeen[i] && a.fates[i] != fate {
 				fate = fateVaries
 			}
-			a.fates[addr] = fate
-			fateSeen[addr] = true
+			a.fates[i] = fate
+			fateSeen[i] = true
 		}
-
-		flow := in.Flow()
-		for _, s := range a.succs(ins) {
-			if _, assembled := a.code[s]; !assembled {
-				continue
+		if flow == isa.FlowCall || flow == isa.FlowCallIndirect {
+			// Balanced callee: locals survive, flags and H do not. The
+			// callee itself is its own root, starting from top.
+			out.fl = flagsTop()
+			out.h = topv()
+		}
+		for _, s := range ins.frameSuccs(fate) {
+			if s >= 0 {
+				merge(s, &out)
 			}
-			if flow == isa.FlowCond {
-				t, _ := in.StaticTarget(addr)
-				if fate == fateNever && s == t && s != addr+1 {
-					continue
-				}
-				if fate == fateAlways && s == addr+1 && s != t {
-					continue
-				}
-			}
-			if flow == isa.FlowCall {
-				if t, _ := in.StaticTarget(addr); s == t && s != addr+1 {
-					continue // callee is its own root, starting from top
-				}
-			}
-			next := out
-			if flow == isa.FlowCall || flow == isa.FlowCallIndirect {
-				// Balanced callee: locals survive, flags and H do not.
-				next = out.clone()
-				next.fl = flagsTop()
-				next.h = topv()
-			}
-			merge(s, next)
 		}
 	}
 
@@ -704,20 +688,17 @@ func shiftIval(op isa.Op, v, amt ival) ival {
 // valueFindings walks the final fixpoint state and reports what it
 // proves, in address order.
 func (a *analyzer) valueFindings() {
-	for _, addr := range a.addrs {
-		ins := a.code[addr]
-		if !a.reach[addr] || ins.bad != nil || ins.data {
+	for i := range a.code {
+		ins := &a.code[i]
+		st := a.vals[i]
+		if !a.reach[i] || ins.bad != nil || ins.data || st == nil {
 			continue
 		}
-		in := ins.in
-		st := a.vals[addr]
-		if st == nil {
-			continue
-		}
+		in, addr := ins.in, ins.addr
 
 		// Branch fates.
 		if in.Flow() == isa.FlowCond {
-			switch a.fates[addr] {
+			switch a.fates[i] {
 			case fateAlways:
 				a.findingf(PassValue, Warning, addr,
 					"B%s is always taken: the condition is provably true on every reaching path (fallthrough at %04x may be dead)",
@@ -745,8 +726,8 @@ func (a *analyzer) valueFindings() {
 			switch in.Op {
 			case isa.OpADD, isa.OpSUB, isa.OpAND, isa.OpOR, isa.OpXOR,
 				isa.OpSHL, isa.OpSHR, isa.OpASR, isa.OpMUL, isa.OpNOT, isa.OpNEG:
-				out := st.clone()
-				a.transfer(in, out)
+				out := *st
+				a.transfer(in, &out)
 				if c, ok := out.readIval(in.Rd).isConst(); ok {
 					a.findingf(PassValue, Info, addr,
 						"%s always computes %#04x here: foldable to a constant load", in.Op, c)

@@ -29,59 +29,57 @@ type depthState struct {
 	known    bool // false once an MTS AWP or a reported conflict is crossed
 	depth    int
 	reported bool // a conflict at this join has already been reported
+
+	// The underflow and spill advisories are reported once per word.
+	underflowed, overflowed bool
 }
 
 func (a *analyzer) windowDepthPass() {
-	states := map[uint16]*depthState{}
-	var work []uint16
-	push := func(addr uint16) { work = append(work, addr) }
+	states := make([]depthState, len(a.code))
+	var work []int32
 
-	// merge folds an incoming edge depth into the state at addr and
+	// merge folds an incoming edge depth into the state at word i and
 	// reports the first conflicting pair of known depths per join.
-	merge := func(addr uint16, depth int, known bool) {
-		st := states[addr]
-		if st == nil {
-			st = &depthState{}
-			states[addr] = st
-		}
+	merge := func(i int32, depth int, known bool) {
+		st := &states[i]
 		switch {
 		case !st.set:
 			st.set, st.known, st.depth = true, known, depth
-			push(addr)
+			work = append(work, i)
 		case !st.known:
 			// Already top: nothing more to learn.
 		case !known:
 			st.known = false
-			push(addr)
+			work = append(work, i)
 		case st.depth != depth:
 			if !st.reported {
 				st.reported = true
-				a.findingf(PassWindow, Error, addr,
+				a.findingf(PassWindow, Error, a.code[i].addr,
 					"stack-window depth imbalance at join: depth %d vs %d from another path (§3.5)",
 					st.depth, depth)
 			}
 			st.known = false
-			push(addr)
+			work = append(work, i)
 		}
 	}
 
-	for _, addr := range a.sortedEntries() {
-		merge(addr, 0, true)
+	for i, k := range a.entry {
+		if k != entryNone {
+			merge(int32(i), 0, true)
+		}
 	}
 
 	budget := a.windowBudget()
-	overflowed := map[uint16]bool{}
-	underflowed := map[uint16]bool{}
 
 	for len(work) > 0 {
-		addr := work[len(work)-1]
+		i := work[len(work)-1]
 		work = work[:len(work)-1]
-		st := states[addr]
-		ins, ok := a.code[addr]
-		if !ok || ins.bad != nil {
+		st := &states[i]
+		ins := &a.code[i]
+		if ins.bad != nil {
 			continue
 		}
-		in := ins.in
+		in, addr := ins.in, ins.addr
 		depth, known := st.depth, st.known
 
 		// Frame-discipline checks at returns, before their pops: the
@@ -120,8 +118,8 @@ func (a *analyzer) windowDepthPass() {
 		next, nextKnown := depth+delta, known && deltaKnown
 
 		if nextKnown && next < 0 {
-			if !underflowed[addr] {
-				underflowed[addr] = true
+			if !st.underflowed {
+				st.underflowed = true
 				a.findingf(PassWindow, Error, addr,
 					"stack-window underflow: depth %d steps below the entry frame (§3.5)", next)
 			}
@@ -129,21 +127,16 @@ func (a *analyzer) windowDepthPass() {
 		}
 		// Advise only at the crossing, not on every instruction that
 		// then runs at excess depth.
-		if nextKnown && budget >= 0 && next > budget && depth <= budget && !overflowed[addr] {
-			overflowed[addr] = true
+		if nextKnown && budget >= 0 && next > budget && depth <= budget && !st.overflowed {
+			st.overflowed = true
 			a.findingf(PassWindow, Info, addr,
 				"window depth %d exceeds the physical budget of %d: a §3.5 spill handler is required", next, budget)
 		}
 
-		for _, s := range a.succs(ins) {
-			if in.Flow() == isa.FlowCall {
-				// The call target is its own entryCall root at depth 0;
-				// only the fallthrough continues this frame.
-				if t, _ := in.StaticTarget(addr); s == t && s != addr+1 {
-					continue
-				}
-			}
-			if _, assembled := a.code[s]; assembled {
+		// A call target is its own entryCall root at depth 0; only the
+		// fall-through continues this frame.
+		for _, s := range ins.frameSuccs(fateVaries) {
+			if s >= 0 {
 				merge(s, next, nextKnown)
 			}
 		}

@@ -68,18 +68,6 @@ func (im *Image) Symbol(name string) (uint16, bool) {
 	return v, ok
 }
 
-// NearestLabel returns the closest code label at or before addr, with
-// the word offset from it — the "crc16+3" form diagnostics want.
-func (im *Image) NearestLabel(addr uint16) (name string, off uint16, ok bool) {
-	best := uint16(0)
-	for n, a := range im.Labels {
-		if a <= addr && (!ok || a > best || (a == best && n < name)) {
-			name, best, ok = n, a, true
-		}
-	}
-	return name, addr - best, ok
-}
-
 // Error is an assembly diagnostic tied to a source line.
 type Error struct {
 	Line int

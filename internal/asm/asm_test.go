@@ -431,19 +431,6 @@ tail: NOP
 	}
 }
 
-func TestNearestLabel(t *testing.T) {
-	im := mustAssemble(t, "a: NOP\n NOP\nb: NOP\n NOP\n")
-	if n, off, ok := im.NearestLabel(1); !ok || n != "a" || off != 1 {
-		t.Fatalf("NearestLabel(1) = %q+%d %v", n, off, ok)
-	}
-	if n, off, ok := im.NearestLabel(3); !ok || n != "b" || off != 1 {
-		t.Fatalf("NearestLabel(3) = %q+%d %v", n, off, ok)
-	}
-	if _, _, ok := (&Image{}).NearestLabel(0); ok {
-		t.Fatal("NearestLabel on empty image")
-	}
-}
-
 func TestAssembleWithHook(t *testing.T) {
 	calls := 0
 	im, err := AssembleWith("NOP\n", func(im *Image) error { calls++; return nil })
