@@ -289,3 +289,34 @@ func TestCLIDiscserveGracefulDrain(t *testing.T) {
 		t.Fatalf("drained snapshot geometry: %+v", sn.Cfg)
 	}
 }
+
+// TestCLIDiscserveEarlySignalDrains: a SIGTERM sent the moment
+// discserve announces its address must still drain and exit 0. The
+// signal handler has to be installed before the announcement; a
+// signal that beats it kills the process undrained.
+func TestCLIDiscserveEarlySignalDrains(t *testing.T) {
+	bin := buildTool(t, "discserve", "./cmd/discserve")
+	for i := 0; i < 10; i++ {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-drain-dir", t.TempDir())
+		stderrPipe, err := cmd.StderrPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		rd := bufio.NewReader(stderrPipe)
+		line, err := rd.ReadString('\n')
+		if err != nil || !strings.Contains(line, "listening on ") {
+			cmd.Process.Kill()
+			t.Fatalf("run %d: no listen announcement: %q %v", i, line, err)
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		rest, _ := io.ReadAll(rd)
+		if code := exitStatus(cmd.Wait()); code != 0 || !strings.Contains(string(rest), "drained 0 session") {
+			t.Fatalf("run %d: exited %d after an early SIGTERM, want a drained exit 0; stderr:\n%s%s", i, code, line, rest)
+		}
+	}
+}

@@ -81,6 +81,12 @@ func run() int {
 	})
 	defer srv.Close()
 
+	// Catch signals before announcing the address: a supervisor may
+	// signal as soon as it reads the announcement, and a signal that
+	// arrived before Notify would kill the process undrained.
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "discserve:", err)
@@ -93,9 +99,6 @@ func run() int {
 	hs := &http.Server{Handler: serve.NewMux(srv)}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	select {
 	case err := <-serveErr:
