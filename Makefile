@@ -4,9 +4,13 @@
 # `bash discbench/run.sh`).
 GO ?= go
 
-.PHONY: check build vet test race detlint bench-vet
+.PHONY: check fmt build vet test race detlint bench-vet
 
-check: build vet test race detlint bench-vet
+check: fmt build vet test race detlint bench-vet
+
+# Every Go file in the tree, discbench/ included, must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	$(GO) build ./...

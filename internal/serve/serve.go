@@ -76,12 +76,12 @@ func (c Config) withDefaults() Config {
 
 // Sentinel errors the HTTP layer maps to status codes.
 var (
-	ErrNotFound     = errors.New("serve: no such session")              // 404
-	ErrBusy         = errors.New("serve: worker queue full, retry")     // 429
-	ErrDraining     = errors.New("serve: server is draining")           // 503
-	ErrSessionLimit = errors.New("serve: session limit reached")        // 429
-	ErrBudget       = errors.New("serve: session cycle budget spent")   // 409
-	ErrClosed       = errors.New("serve: server is closed")             // 503
+	ErrNotFound     = errors.New("serve: no such session")            // 404
+	ErrBusy         = errors.New("serve: worker queue full, retry")   // 429
+	ErrDraining     = errors.New("serve: server is draining")         // 503
+	ErrSessionLimit = errors.New("serve: session limit reached")      // 429
+	ErrBudget       = errors.New("serve: session cycle budget spent") // 409
+	ErrClosed       = errors.New("serve: server is closed")           // 503
 )
 
 // Server hosts simulation sessions over a fixed worker pool.

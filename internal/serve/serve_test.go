@@ -163,12 +163,12 @@ func TestCreateValidation(t *testing.T) {
 	defer s.Close()
 
 	cases := []CreateRequest{
-		{},                                     // neither program nor snapshot
-		{Program: "main:\n    BOGUS\n"},        // assembly error
-		{Program: counterProgram, Snapshot: []byte{1}},                 // both
-		{Snapshot: []byte{1, 2, 3}},                                    // not a disc-snap/1 blob
-		{Snapshot: []byte{1, 2, 3}, BlockEngine: true},                 // block engine needs an image
-		{Program: counterProgram, Streams: 1, Start: map[string]string{"7": "main"}}, // stream out of range
+		{},                              // neither program nor snapshot
+		{Program: "main:\n    BOGUS\n"}, // assembly error
+		{Program: counterProgram, Snapshot: []byte{1}},                                   // both
+		{Snapshot: []byte{1, 2, 3}},                                                      // not a disc-snap/1 blob
+		{Snapshot: []byte{1, 2, 3}, BlockEngine: true},                                   // block engine needs an image
+		{Program: counterProgram, Streams: 1, Start: map[string]string{"7": "main"}},     // stream out of range
 		{Program: counterProgram, Streams: 1, Fault: map[string]FaultConfig{"nope": {}}}, // unknown device
 	}
 	for i, req := range cases {
