@@ -92,7 +92,8 @@ func (a *analyzer) useDefPass() {
 		}
 
 		// Reads first: operands are sampled before results land.
-		for _, r := range inst.RegReads() {
+		reads, nr := inst.RegReads()
+		for _, r := range reads[:nr] {
 			switch {
 			case r.IsWindow():
 				if state&(1<<r) == 0 {
@@ -114,7 +115,8 @@ func (a *analyzer) useDefPass() {
 
 		// Writes and clobbers.
 		out := state
-		for _, r := range inst.RegWrites() {
+		writes, nw := inst.RegWrites()
+		for _, r := range writes[:nw] {
 			switch {
 			case r.IsWindow():
 				out |= 1 << r

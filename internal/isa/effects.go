@@ -91,44 +91,48 @@ func (in Instruction) AWPDelta() (delta int, known bool) {
 }
 
 // RegReads lists the architectural register fields the instruction
-// reads. ZR reads are included (they are legal and read zero); callers
-// tracking definedness treat ZR and the globals as always defined.
-func (in Instruction) RegReads() []Reg {
+// reads: the first n entries of rs. ZR reads are included (they are
+// legal and read zero); callers tracking definedness treat ZR and the
+// globals as always defined. No instruction reads more than two
+// register fields, so the list is a fixed array and costs no
+// allocation.
+func (in Instruction) RegReads() (rs [2]Reg, n int) {
 	switch in.Op {
 	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpSHL, OpSHR, OpASR, OpMUL, OpCMP:
-		return []Reg{in.Rs, in.Rt}
+		return [2]Reg{in.Rs, in.Rt}, 2
 	case OpMOV, OpNOT, OpNEG:
-		return []Reg{in.Rs}
+		return [2]Reg{in.Rs}, 1
 	case OpSWP:
-		return []Reg{in.Rd, in.Rs}
+		return [2]Reg{in.Rd, in.Rs}, 2
 	case OpADDI, OpSUBI, OpANDI, OpORI, OpXORI, OpCMPI:
-		return []Reg{in.Rd}
+		return [2]Reg{in.Rd}, 1
 	case OpLD, OpTAS:
-		return []Reg{in.Rs}
+		return [2]Reg{in.Rs}, 1
 	case OpST:
-		return []Reg{in.Rd, in.Rs}
+		return [2]Reg{in.Rd, in.Rs}, 2
 	case OpSTM:
-		return []Reg{in.Rd}
+		return [2]Reg{in.Rd}, 1
 	case OpJR, OpCALR, OpSSTART, OpMTS:
-		return []Reg{in.Rs}
+		return [2]Reg{in.Rs}, 1
 	}
-	return nil
+	return rs, 0
 }
 
-// RegWrites lists the register fields the instruction writes. CALL's
-// push of the return PC lands in the *callee's* R0, so it is not
-// reported here; analyzers model it at the callee's entry instead.
-func (in Instruction) RegWrites() []Reg {
+// RegWrites lists the register fields the instruction writes, as the
+// first n entries of ws (at most two, see RegReads). CALL's push of the
+// return PC lands in the *callee's* R0, so it is not reported here;
+// analyzers model it at the callee's entry instead.
+func (in Instruction) RegWrites() (ws [2]Reg, n int) {
 	switch in.Op {
 	case OpADD, OpSUB, OpAND, OpOR, OpXOR, OpSHL, OpSHR, OpASR, OpMUL,
 		OpMOV, OpNOT, OpNEG,
 		OpADDI, OpSUBI, OpANDI, OpORI, OpXORI, OpLDI, OpLDHI,
 		OpLD, OpLDM, OpTAS, OpMFS:
-		return []Reg{in.Rd}
+		return [2]Reg{in.Rd}, 1
 	case OpSWP:
-		return []Reg{in.Rd, in.Rs}
+		return [2]Reg{in.Rd, in.Rs}, 2
 	}
-	return nil
+	return ws, 0
 }
 
 // WritesH reports whether the instruction overwrites the H special

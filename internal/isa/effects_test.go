@@ -71,36 +71,46 @@ func TestRegReadsWrites(t *testing.T) {
 		}
 		return false
 	}
+	// list turns a (fixed array, count) result into the slice it names.
+	list := func(rs [2]Reg, n int) []Reg { return rs[:n] }
 	add := Instruction{Op: OpADD, Rd: R0, Rs: R1, Rt: G0}
-	if !has(add.RegReads(), R1) || !has(add.RegReads(), G0) || has(add.RegReads(), R0) {
-		t.Fatalf("ADD reads %v", add.RegReads())
+	if !has(list(add.RegReads()), R1) || !has(list(add.RegReads()), G0) || has(list(add.RegReads()), R0) {
+		t.Fatalf("ADD reads %v", list(add.RegReads()))
 	}
-	if !has(add.RegWrites(), R0) {
-		t.Fatalf("ADD writes %v", add.RegWrites())
+	if !has(list(add.RegWrites()), R0) {
+		t.Fatalf("ADD writes %v", list(add.RegWrites()))
 	}
 	// Immediate ALU ops read-modify-write rd.
 	addi := Instruction{Op: OpADDI, Rd: R2, Imm: 1}
-	if !has(addi.RegReads(), R2) || !has(addi.RegWrites(), R2) {
+	if !has(list(addi.RegReads()), R2) || !has(list(addi.RegWrites()), R2) {
 		t.Fatal("ADDI must read and write rd")
 	}
 	// LDI only writes.
 	ldi := Instruction{Op: OpLDI, Rd: R3, Imm: 1}
-	if len(ldi.RegReads()) != 0 || !has(ldi.RegWrites(), R3) {
+	if len(list(ldi.RegReads())) != 0 || !has(list(ldi.RegWrites()), R3) {
 		t.Fatal("LDI effects wrong")
 	}
 	// Stores read the data register; loads write it.
 	st := Instruction{Op: OpST, Rd: R4, Rs: G1}
-	if !has(st.RegReads(), R4) || len(st.RegWrites()) != 0 {
+	if !has(list(st.RegReads()), R4) || len(list(st.RegWrites())) != 0 {
 		t.Fatal("ST effects wrong")
 	}
 	ld := Instruction{Op: OpLD, Rd: R4, Rs: G1}
-	if has(ld.RegReads(), R4) || !has(ld.RegWrites(), R4) {
+	if has(list(ld.RegReads()), R4) || !has(list(ld.RegWrites()), R4) {
 		t.Fatal("LD effects wrong")
 	}
 	// SWP exchanges: reads and writes both.
 	swp := Instruction{Op: OpSWP, Rd: R0, Rs: G2}
-	if !has(swp.RegReads(), R0) || !has(swp.RegWrites(), G2) {
+	if !has(list(swp.RegReads()), R0) || !has(list(swp.RegWrites()), G2) {
 		t.Fatal("SWP effects wrong")
+	}
+	// The analyzer asks for every word's effects; the answer must not
+	// cost an allocation.
+	if n := testing.AllocsPerRun(100, func() {
+		_, _ = swp.RegReads()
+		_, _ = add.RegWrites()
+	}); n != 0 {
+		t.Fatalf("RegReads/RegWrites made %.0f allocations", n)
 	}
 }
 
