@@ -3,6 +3,10 @@
 // program bus, and the 2 KB shared internal data memory that all
 // instruction streams address with zero wait states.
 //
+// Program memory addresses the full 64 K words, but it stores only the
+// loaded range, together with a predecoded shadow of that range; every
+// address past it reads as an empty-memory NOP.
+//
 // External memory and peripherals are NOT here — anything at or above
 // isa.ExternalBase goes through the asynchronous bus interface in
 // package bus, which is what gives DISC its wait-state/reactivation
@@ -36,28 +40,67 @@ const (
 // It is written at load time and read-only to executing streams, which
 // is what permits a same-cycle instruction fetch and data access.
 //
+// The address space is the full 64 K words of §3.7, but storage covers
+// only the loaded range: words, code and meta are slices whose length
+// is the load limit, and every address at or past it reads as the
+// empty-memory NOP (word 0) a fresh store would hold. Load and Set
+// extend the slices; SetState refills them, reallocating at its limit
+// when that differs. A 55-word image therefore costs about a kilobyte
+// here, not the 1.3 MB of three fixed 64 K arrays.
+//
 // Because the store is immutable while streams execute (the Harvard
 // property — there is no instruction that writes program memory),
-// Program also keeps a predecoded shadow of every word: Load and Set
-// run each word through isa.Decode once and cache the result, so the
-// core's issue stage reads a ready-made isa.Instruction instead of
+// Program also keeps a predecoded shadow of every loaded word: Load and
+// Set run each word through isa.Decode once and cache the result, so
+// the core's issue stage reads a ready-made isa.Instruction instead of
 // decoding 24-bit fields tens of millions of times per run. isa.Decode
 // remains the single source of truth; the cache is generated through
 // it and can never disagree with it.
+//
+// Invariant: words, code and meta always have the same length, and
+// their spare capacity past that length is zero. Every backing array
+// is freshly allocated (hence zeroed) and no length ever shrinks in
+// place, so reslicing into the spare capacity exposes exactly the NOPs
+// of a fresh store.
 type Program struct {
-	words   [ProgramSize]isa.Word
-	code    [ProgramSize]isa.Instruction
-	meta    [ProgramSize]uint8
-	limit   uint32 // highest loaded address + 1, for diagnostics
-	version uint32 // bumped on every Load/Set, see Version
+	words   []isa.Word
+	code    []isa.Instruction
+	meta    []uint8
+	version uint32 // bumped on every Load/Set/SetState, see Version
 }
 
-// NewProgram returns an empty program memory filled with NOP (word 0).
-// The zero isa.Instruction is exactly Decode(0) — a plain NOP — so the
-// predecode cache starts consistent without touching 64 K entries.
+// NewProgram returns an empty program memory: every address reads as
+// NOP (word 0) and nothing is allocated until a word is loaded. The
+// zero isa.Instruction is exactly Decode(0) — a plain NOP — so zeroed
+// storage is a consistent predecode of zeroed words.
 func NewProgram() *Program { return &Program{} }
 
-// predecode refreshes the cached decode of the word at pc.
+// extend raises the store's length to n, leaving the new words as
+// NOPs. When the backing arrays are full it reallocates them to
+// capacity c (c >= n).
+func (p *Program) extend(n, c int) {
+	if n <= len(p.words) {
+		return
+	}
+	p.words = extendTo(p.words, n, c)
+	p.code = extendTo(p.code, n, c)
+	p.meta = extendTo(p.meta, n, c)
+}
+
+// extendTo returns s lengthened to n, reallocated to capacity c if s
+// cannot hold n. The reslice path relies on the zeroed spare capacity
+// the Program invariant guarantees.
+func extendTo[T any](s []T, n, c int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	t := make([]T, n, c)
+	copy(t, s)
+	return t
+}
+
+// predecode refreshes the cached decode of the word at pc, which must
+// be below the limit.
 func (p *Program) predecode(pc uint16) {
 	in, err := isa.Decode(p.words[pc])
 	if err != nil {
@@ -74,24 +117,30 @@ func (p *Program) predecode(pc uint16) {
 }
 
 // Load copies an assembled image into program memory starting at base.
+// Words between the old limit and base, if any, stay NOPs.
 func (p *Program) Load(base uint16, image []isa.Word) error {
-	if int(base)+len(image) > ProgramSize {
+	end := int(base) + len(image)
+	if end > ProgramSize {
 		return fmt.Errorf("mem: image of %d words at %#04x overflows program memory", len(image), base)
 	}
+	p.extend(end, end)
 	copy(p.words[base:], image)
 	for i := range image {
 		p.predecode(base + uint16(i))
-	}
-	if end := uint32(base) + uint32(len(image)); end > p.limit {
-		p.limit = end
 	}
 	p.version++
 	return nil
 }
 
 // Fetch returns the instruction word at pc. Program memory wraps like
-// the 16-bit PC does, so Fetch is total.
-func (p *Program) Fetch(pc uint16) isa.Word { return p.words[pc] }
+// the 16-bit PC does, so Fetch is total: past the load limit it reads
+// the empty-memory NOP, 0.
+func (p *Program) Fetch(pc uint16) isa.Word {
+	if int(pc) >= len(p.words) {
+		return 0
+	}
+	return p.words[pc]
+}
 
 // Decoded returns the predecoded instruction at pc and its meta bits.
 // A wild PC — at or past the loaded image — reads as an illegal word:
@@ -99,31 +148,38 @@ func (p *Program) Fetch(pc uint16) isa.Word { return p.words[pc] }
 // existing illegal-instruction condition instead of silently executing
 // the empty-memory NOPs it would find there. (Fetch keeps the raw
 // total-function view for the monitor and disassembler.)
+//
+// The issue stage calls this every cycle: the limit compare proves
+// code's index in range, and reslicing meta to len(code) lets it prove
+// meta's too.
 func (p *Program) Decoded(pc uint16) (isa.Instruction, uint8) {
-	if uint32(pc) >= p.limit {
+	code := p.code
+	if int(pc) >= len(code) {
 		return isa.Instruction{Op: isa.OpNOP}, MetaIllegal
 	}
-	return p.code[pc], p.meta[pc]
+	return code[pc], p.meta[:len(code)][pc]
 }
 
 // Set writes a single instruction word (used by tests and the monitor).
+// Writing past the limit extends the store; the backing arrays grow
+// geometrically, so a run of ascending Sets copies linearly overall.
 func (p *Program) Set(pc uint16, w isa.Word) {
+	n := int(pc) + 1
+	p.extend(n, min(max(n, 2*cap(p.words)), ProgramSize))
 	p.words[pc] = w
 	p.predecode(pc)
-	if uint32(pc)+1 > p.limit {
-		p.limit = uint32(pc) + 1
-	}
 	p.version++
 }
 
-// Limit returns one past the highest address ever loaded.
-func (p *Program) Limit() uint32 { return p.limit }
+// Limit returns one past the highest address ever loaded (since the
+// last SetState).
+func (p *Program) Limit() uint32 { return uint32(len(p.words)) }
 
-// Version counts store mutations: it increments on every Load and Set.
-// Caches derived from program memory — the core's compiled block table
-// in particular — record the version they were built against and treat
-// a mismatch as "image changed, rebuild or bail". A fresh Program is
-// version 0.
+// Version counts store mutations: it increments on every Load, Set and
+// SetState. Caches derived from program memory — the core's compiled
+// block table in particular — record the version they were built
+// against and treat a mismatch as "image changed, rebuild or bail". A
+// fresh Program is version 0.
 func (p *Program) Version() uint32 { return p.version }
 
 // ProgramState is the serializable content of program memory: the raw
@@ -137,32 +193,32 @@ type ProgramState struct {
 
 // State captures the loaded portion of program memory.
 func (p *Program) State() ProgramState {
-	w := make([]isa.Word, p.limit)
-	copy(w, p.words[:p.limit])
-	return ProgramState{Words: w, Limit: p.limit}
+	w := make([]isa.Word, len(p.words))
+	copy(w, p.words)
+	return ProgramState{Words: w, Limit: p.Limit()}
 }
 
 // SetState replaces the whole program store with a captured image and
-// re-predecodes it. Words past the limit are zeroed (NOP), matching a
-// fresh store. The version counter is BUMPED, not restored: version is
-// a local mutation counter for derived caches, and a restore is a
-// mutation — any block table compiled against the pre-restore image
-// must observe a mismatch and invalidate (DESIGN.md §13).
+// re-predecodes it. A store whose limit differs from the captured one
+// is reallocated at exactly the captured limit, so everything past it
+// reads as a fresh store would, even if a later Set raises the limit
+// back over a region the old image held. One whose limit matches — a
+// restore into a machine holding an image of the same size — reuses
+// its storage, since every word below the limit is overwritten. The
+// version counter is BUMPED, not restored: version is a local mutation
+// counter for derived caches, and a restore is a mutation — any block
+// table compiled against the pre-restore image must observe a mismatch
+// and invalidate (DESIGN.md §13).
 func (p *Program) SetState(s ProgramState) error {
 	if s.Limit > ProgramSize || uint64(len(s.Words)) != uint64(s.Limit) {
 		return fmt.Errorf("mem: program state limit %d with %d words is malformed", s.Limit, len(s.Words))
 	}
-	copy(p.words[:s.Limit], s.Words)
-	for i := uint32(s.Limit); i < p.limit; i++ {
-		// Zero word and cache entry alike: the zero Instruction is
-		// Decode(0), so the shrunk region matches a fresh store even if a
-		// later Set raises the limit back over it.
-		p.words[i] = 0
-		p.code[i] = isa.Instruction{}
-		p.meta[i] = 0
+	if n := len(s.Words); n != len(p.words) {
+		p.words, p.code, p.meta = nil, nil, nil
+		p.extend(n, n)
 	}
-	p.limit = s.Limit
-	for pc := uint32(0); pc < s.Limit; pc++ {
+	copy(p.words, s.Words)
+	for pc := range p.words {
 		p.predecode(uint16(pc))
 	}
 	p.version++

@@ -208,3 +208,175 @@ func TestProgramVersion(t *testing.T) {
 		t.Fatalf("reload did not bump version")
 	}
 }
+
+// TestProgramLoadPastLimitLeavesNOPGap: a Load at a base past the
+// current limit raises the limit to the end of the new image, and the
+// words it skips read as the empty-memory NOPs of a fresh store — raw
+// 0 from Fetch, and a legal NOP (not the wild-PC illegal word) from
+// Decoded, since they now lie below the limit.
+func TestProgramLoadPastLimitLeavesNOPGap(t *testing.T) {
+	p := NewProgram()
+	if err := p.Load(0, []isa.Word{0xFFFFFF, 0xFFFFFF}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Load(0x100, []isa.Word{0xFFFFFF}); err != nil {
+		t.Fatal(err)
+	}
+	if p.Limit() != 0x101 {
+		t.Fatalf("Limit = %#x, want 0x101", p.Limit())
+	}
+	for pc := uint16(2); pc < 0x100; pc++ {
+		if w := p.Fetch(pc); w != 0 {
+			t.Fatalf("Fetch(%#x) in the gap = %#x, want 0", pc, w)
+		}
+		if in, meta := p.Decoded(pc); meta != 0 || in != (isa.Instruction{}) {
+			t.Fatalf("Decoded(%#x) in the gap = (%+v, %#x), want plain NOP", pc, in, meta)
+		}
+	}
+	if _, meta := p.Decoded(0x100); meta&MetaIllegal == 0 {
+		t.Fatal("loaded illegal word lost MetaIllegal")
+	}
+}
+
+// TestProgramSetExtends: Set past the limit extends the store to cover
+// the written word, with NOPs in between and the wild-PC rule past it.
+func TestProgramSetExtends(t *testing.T) {
+	p := NewProgram()
+	if err := p.Load(0, []isa.Word{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	p.Set(0x80, 0xABCDEF)
+	if p.Limit() != 0x81 {
+		t.Fatalf("Limit = %#x after Set(0x80), want 0x81", p.Limit())
+	}
+	if p.Fetch(0x80) != 0xABCDEF || p.Fetch(2) != 3 {
+		t.Fatal("Set past the limit lost a word")
+	}
+	if in, meta := p.Decoded(0x7F); meta != 0 || in != (isa.Instruction{}) {
+		t.Fatalf("Decoded(0x7F) = (%+v, %#x), want plain NOP", in, meta)
+	}
+	if _, meta := p.Decoded(0x81); meta&MetaIllegal == 0 {
+		t.Fatal("Decoded past the extended limit is not illegal")
+	}
+	p.Set(0x10, 7) // below the limit: no change to it
+	if p.Limit() != 0x81 || p.Fetch(0x10) != 7 {
+		t.Fatalf("Set below the limit: Limit = %#x, Fetch = %#x", p.Limit(), p.Fetch(0x10))
+	}
+}
+
+// TestProgramSetStateShrinkThenGrow: SetState to a smaller image drops
+// everything past its limit, and a later Set that raises the limit back
+// over the dropped region finds exactly what a fresh store given the
+// same SetState and Set would hold: no stale word or predecode
+// survives.
+func TestProgramSetStateShrinkThenGrow(t *testing.T) {
+	const top = 0x200
+	big := make([]isa.Word, top)
+	for i := range big {
+		big[i] = isa.Word(0x9E3779*uint32(i+1)) & isa.MaxWord // legal, illegal and branch words alike
+	}
+	p := NewProgram()
+	if err := p.Load(0, big); err != nil {
+		t.Fatal(err)
+	}
+	small := ProgramState{Words: []isa.Word{5, 6, 7, 8}, Limit: 4}
+	v := p.Version()
+	if err := p.SetState(small); err != nil {
+		t.Fatal(err)
+	}
+	if p.Version() == v {
+		t.Fatal("SetState did not bump version")
+	}
+	if p.Limit() != 4 {
+		t.Fatalf("Limit = %d after SetState, want 4", p.Limit())
+	}
+	if _, meta := p.Decoded(4); meta&MetaIllegal == 0 {
+		t.Fatal("Decoded past the shrunk limit is not illegal")
+	}
+	p.Set(top-1, 0x123456)
+
+	fresh := NewProgram()
+	if err := fresh.SetState(small); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Set(top-1, 0x123456)
+	if p.Limit() != fresh.Limit() {
+		t.Fatalf("Limit = %#x, fresh store %#x", p.Limit(), fresh.Limit())
+	}
+	for pc := uint16(0); pc <= top; pc++ {
+		if p.Fetch(pc) != fresh.Fetch(pc) {
+			t.Fatalf("Fetch(%#x) = %#x, fresh store %#x", pc, p.Fetch(pc), fresh.Fetch(pc))
+		}
+		in, meta := p.Decoded(pc)
+		fin, fmeta := fresh.Decoded(pc)
+		if in != fin || meta != fmeta {
+			t.Fatalf("Decoded(%#x) = (%+v, %#x), fresh store (%+v, %#x)", pc, in, meta, fin, fmeta)
+		}
+	}
+	if got := p.State(); len(got.Words) != top || got.Limit != top {
+		t.Fatalf("State after regrowth: %d words, limit %d", len(got.Words), got.Limit)
+	}
+}
+
+// TestProgramFetchPastLimit: Fetch is total — past the limit, and on an
+// empty store, it reads 0 without a panic.
+func TestProgramFetchPastLimit(t *testing.T) {
+	p := NewProgram()
+	for _, pc := range []uint16{0, 1, 0x7FFF, 0xFFFF} {
+		if w := p.Fetch(pc); w != 0 {
+			t.Fatalf("empty store Fetch(%#x) = %#x", pc, w)
+		}
+		if _, meta := p.Decoded(pc); meta&MetaIllegal == 0 {
+			t.Fatalf("empty store Decoded(%#x) is not illegal", pc)
+		}
+	}
+	p.Set(0xFFFF, 9)
+	if p.Fetch(0xFFFF) != 9 || p.Fetch(0xFFFE) != 0 || p.Limit() != ProgramSize {
+		t.Fatal("Set at the top of program memory")
+	}
+}
+
+// TestProgramAscendingSetIsLinear: writing all 64 K words one ascending
+// Set at a time grows the store geometrically. Reallocating to the
+// exact new length on every call would cost 3 allocations per Set
+// (196 608 here) and copy quadratically; doubling costs 3 per
+// power of two, 17 each for words, code and meta.
+func TestProgramAscendingSetIsLinear(t *testing.T) {
+	const budget = 3*17 + 1 // + the Program itself
+	n := testing.AllocsPerRun(1, func() {
+		p := NewProgram()
+		for pc := 0; pc < ProgramSize; pc++ {
+			p.Set(uint16(pc), isa.Word(pc))
+		}
+		if p.Limit() != ProgramSize {
+			t.Fatalf("Limit = %d after filling program memory", p.Limit())
+		}
+	})
+	if n > budget {
+		t.Fatalf("ascending Set over %d words made %.0f allocations, budget %d", ProgramSize, n, budget)
+	}
+}
+
+// TestProgramSetStateSameSize: restoring an image of the store's own
+// size (a fork target or a resumed machine with the same program)
+// reuses its storage — no allocation — and still replaces every word
+// and predecode.
+func TestProgramSetStateSameSize(t *testing.T) {
+	p := NewProgram()
+	if err := p.Load(0, []isa.Word{0xFFFFFF, 0xFFFFFF, 0xFFFFFF}); err != nil {
+		t.Fatal(err)
+	}
+	s := ProgramState{Words: []isa.Word{0, 0, 0}, Limit: 3}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := p.SetState(s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("same-size SetState made %.0f allocations", n)
+	}
+	for pc := uint16(0); pc < 3; pc++ {
+		if in, meta := p.Decoded(pc); p.Fetch(pc) != 0 || meta != 0 || in != (isa.Instruction{}) {
+			t.Fatalf("word %d kept its pre-restore content", pc)
+		}
+	}
+}
