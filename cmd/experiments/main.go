@@ -29,9 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
-	"time"
 
 	"disc/internal/analysis"
 	"disc/internal/asm"
@@ -137,6 +135,9 @@ var experiments = []struct {
 	{"latency", extraLatency},
 	{"degradation", extraDegradation},
 	{"deadlines", extraDeadlines},
+	{"granularity", ablationGranularity},
+	{"pipedepth", ablationPipeDepth},
+	{"bus", ablationBus},
 	{"streams", extraStreamSweep},
 	{"stackdepth", extraStackDepth},
 	{"latencyload", extraLatencyUnderLoad},
@@ -145,8 +146,7 @@ var experiments = []struct {
 	{"fixedwin", extraFixedWindows},
 	{"polling", extraPolling},
 	{"isolation", extraIsolation},
-	{"block", extraBlockSpeedup},
-	{"gating", extraBlockGating},
+	{"block", extraBlock},
 }
 
 func experimentNames() []string {
@@ -300,13 +300,7 @@ poll:
 			bg += fmt.Sprintf("    ADDI R%d, 1\n", i%6)
 		}
 		src += ".org 0x100\nbg:\n" + bg + "    JMP bg\n"
-		im, err := asm.Assemble(src)
-		if err != nil {
-			fatal(err)
-		}
-		for _, sec := range im.Sections {
-			m.LoadProgram(sec.Base, sec.Words)
-		}
+		load(m, src)
 		m.StartStream(0, 0)
 		m.StartStream(1, 0x100)
 		const window = 60000
@@ -324,184 +318,56 @@ poll:
 		[]string{"organization", "events", "service-stream issues", "background retired", "bg share"}, rows))
 }
 
-// extraBlockSpeedup measures what the block-compiled execution engine
-// (internal/blockc + core fused sessions, DESIGN.md §13) buys in
-// simulator throughput: wall-clock cycles/second on the reference,
-// optimized and block-engine pipelines over identical generated Table
-// 4.1 programs at one stream — the sole-ready configuration where
-// sessions can fire. Every replication re-verifies bit-identical
-// machine statistics between the optimized and block runs before its
-// timing counts.
-func extraBlockSpeedup() {
-	fmt.Println("Extension - block-compiled execution: simulator throughput on")
-	fmt.Println("the reference, optimized and block-engine pipelines, identical")
-	fmt.Println("generated programs per load, 1 stream. Cycle-exactness is")
-	fmt.Println("re-verified every replication. Wall-clock measurements run")
-	fmt.Println("serially (never fanned across workers) and depend on the host;")
-	fmt.Println("the recorded numbers name theirs in EXPERIMENTS.md.")
-	n := int(*cycles)
-	build := func(p workload.Params, cfg core.Config, rep int, attach bool) *core.Machine {
-		setup, err := xval.NewLoadSetup(p, 1, *seed+uint64(rep), cfg)
+// extraBlock reports what the block-compiled execution engine
+// (internal/blockc + core fused sessions, DESIGN.md §13) does on each
+// Table 4.1 load at one stream, the sole-ready configuration where
+// sessions can open, with the adaptive per-region gate on and off.
+// Every column is a deterministic count; the engine's speed is
+// discbench's block.speedup.ld* rows.
+func extraBlock() {
+	fmt.Println("Extension E25/E26 - block-compiled execution: fused sessions on the")
+	fmt.Println("generated Table 4.1 programs, 1 stream, adaptive gate on and off.")
+	fmt.Println("'= opt' compares every machine statistic with the optimized engine.")
+	setup := func(p workload.Params) *xval.LoadSetup {
+		s, err := xval.NewLoadSetup(p, 1, *seed, core.Config{})
 		if err != nil {
 			fatal(err)
 		}
-		if attach {
-			opts := analysis.Options{Entries: []uint16{setup.Entries[0]}, Streams: 1}
-			for _, d := range setup.Devices {
+		return s
+	}
+	rows := [][]string{}
+	for _, p := range workload.Base() {
+		p.MeanOn, p.MeanOff = 0, 0
+		opt := setup(p).Machine
+		opt.Run(int(*cycles))
+		for _, gate := range []bool{true, false} {
+			s := setup(p)
+			opts := analysis.Options{Entries: s.Entries[:1], Streams: 1}
+			for _, d := range s.Devices {
 				opts.BusRanges = append(opts.BusRanges, analysis.BusRange{Base: d.Base, Size: d.Size, Wait: d.Wait})
 			}
-			blockc.Attach(setup.Machine, setup.Images[0], opts)
+			blockc.Attach(s.Machine, s.Images[0], opts)
+			s.Machine.SetBlockGate(gate)
+			s.Machine.Run(int(*cycles))
+			bs := s.Machine.BlockStats()
+			split := func(c uint64) string { return report.F(float64(c)/float64(max(bs.FusedCycles, 1)), 2) }
+			gateCol, same := "off", "NO"
+			if gate {
+				gateCol = "on"
+			}
+			if reflect.DeepEqual(opt.Stats(), s.Machine.Stats()) {
+				same = "yes"
+			}
+			rows = append(rows, []string{
+				p.Name, gateCol, report.F(float64(bs.FusedCycles)/float64(*cycles), 4),
+				split(bs.StraightCycles) + "/" + split(bs.BranchCycles) + "/" + split(bs.ChainCycles),
+				fmt.Sprint(bs.Sessions), fmt.Sprint(bs.Bails),
+				fmt.Sprintf("%d/%d", bs.Demotes, bs.Promotes), same,
+			})
 		}
-		return setup.Machine
-	}
-	const windows = 4
-	n = n / windows * windows
-	rows := [][]string{}
-	for _, p := range workload.Base() {
-		p.MeanOn, p.MeanOff = 0, 0
-		var refR, optR, blkR []float64
-		var share, stS, brS, chS float64
-		for rep := 0; rep < *reps; rep++ {
-			// Build and warm all three machines before timing anything:
-			// an engine timed straight after its alloc-heavy build (worse
-			// for the block machine, whose attach runs analysis+compile)
-			// records a fake loss from GC and scheduler aftermath. Timing
-			// in short rotated windows makes the engines sample the same
-			// host phases (see DESIGN.md §13 for the measured failure
-			// modes).
-			ref := build(p, core.Config{Reference: true}, rep, false)
-			opt := build(p, core.Config{}, rep, false)
-			blk := build(p, core.Config{}, rep, true)
-			ms := []*core.Machine{ref, opt, blk}
-			for _, m := range ms {
-				m.Run(64)
-			}
-			runtime.GC()
-			times := make([]time.Duration, len(ms))
-			for w := 0; w < windows; w++ {
-				for i := range ms {
-					j := (w + i) % len(ms)
-					start := time.Now()
-					ms[j].Run(n / windows)
-					times[j] += time.Since(start)
-				}
-			}
-			refR = append(refR, float64(n)/times[0].Seconds()/1e6)
-			optR = append(optR, float64(n)/times[1].Seconds()/1e6)
-			blkR = append(blkR, float64(n)/times[2].Seconds()/1e6)
-			if !reflect.DeepEqual(opt.Stats(), blk.Stats()) {
-				fatal(fmt.Errorf("block engine diverged from optimized pipeline on %s rep %d", p.Name, rep))
-			}
-			bs := blk.BlockStats()
-			share = float64(bs.FusedCycles) / float64(n+64)
-			if bs.FusedCycles > 0 {
-				stS = float64(bs.StraightCycles) / float64(bs.FusedCycles)
-				brS = float64(bs.BranchCycles) / float64(bs.FusedCycles)
-				chS = float64(bs.ChainCycles) / float64(bs.FusedCycles)
-			}
-		}
-		ref, opt, blk := report.Summarize(refR), report.Summarize(optR), report.Summarize(blkR)
-		rows = append(rows, []string{
-			p.Name, ref.FCI(2), opt.FCI(2), blk.FCI(2),
-			report.F(blk.Mean/opt.Mean, 2) + "x", report.F(share, 2),
-			report.F(stS, 2) + "/" + report.F(brS, 2) + "/" + report.F(chS, 2),
-		})
 	}
 	fmt.Println(report.Table("",
-		[]string{"load", "reference Mcyc/s", "optimized Mcyc/s", "block Mcyc/s", "block/optimized", "fused share", "st/br/ch"}, rows))
-}
-
-// extraBlockGating measures the block engine's never-lose promise: on
-// loads whose sessions are chronically short (external accesses every
-// few instructions) the adaptive gate demotes unprofitable regions and
-// the dispatch seam batch-skips its entry predicate, so the block
-// engine must track the optimized pipeline within noise on every load
-// while keeping the full speedup where fusion pays. The gate-off
-// column isolates the gate's own contribution from the skip batching,
-// which applies either way.
-//
-// Measurement discipline (see DESIGN.md §13 for the measured failure
-// modes): all three machines per replication are built and
-// warmed before anything is timed — timing an engine straight after
-// its alloc-heavy analysis+compile pass records a fake loss from GC
-// and scheduler aftermath — and the engines are timed in short
-// rotated windows so they sample the same host phases.
-func extraBlockGating() {
-	fmt.Println("Extension - adaptive session gating: block-engine throughput with")
-	fmt.Println("the per-region demotion gate on vs off, identical generated Table")
-	fmt.Println("4.1 programs, 1 stream. Cycle-exactness is re-verified every")
-	fmt.Println("replication (the gate changes dispatch policy, never architecture).")
-	fmt.Println("Wall-clock measurements run serially; recorded numbers name their")
-	fmt.Println("host in EXPERIMENTS.md.")
-	const windows = 4
-	n := int(*cycles) / windows * windows
-	build := func(p workload.Params, rep int, gate bool) *core.Machine {
-		setup, err := xval.NewLoadSetup(p, 1, *seed+uint64(rep), core.Config{})
-		if err != nil {
-			fatal(err)
-		}
-		opts := analysis.Options{Entries: []uint16{setup.Entries[0]}, Streams: 1}
-		for _, d := range setup.Devices {
-			opts.BusRanges = append(opts.BusRanges, analysis.BusRange{Base: d.Base, Size: d.Size, Wait: d.Wait})
-		}
-		blockc.Attach(setup.Machine, setup.Images[0], opts)
-		setup.Machine.SetBlockGate(gate)
-		return setup.Machine
-	}
-	rows := [][]string{}
-	for _, p := range workload.Base() {
-		p.MeanOn, p.MeanOff = 0, 0
-		var optR, onR, offR []float64
-		var demotes, promotes uint64
-		for rep := 0; rep < *reps; rep++ {
-			setup, err := xval.NewLoadSetup(p, 1, *seed+uint64(rep), core.Config{})
-			if err != nil {
-				fatal(err)
-			}
-			opt := setup.Machine
-			gated := build(p, rep, true)
-			ungated := build(p, rep, false)
-			ms := []*core.Machine{opt, gated, ungated}
-			for _, m := range ms {
-				m.Run(64)
-			}
-			runtime.GC()
-			times := make([]time.Duration, len(ms))
-			for w := 0; w < windows; w++ {
-				for i := range ms {
-					j := (w + i) % len(ms) // rotate timing order per window
-					start := time.Now()
-					ms[j].Run(n / windows)
-					times[j] += time.Since(start)
-				}
-			}
-			for i, d := range times {
-				r := float64(n) / d.Seconds() / 1e6
-				switch i {
-				case 0:
-					optR = append(optR, r)
-				case 1:
-					onR = append(onR, r)
-				case 2:
-					offR = append(offR, r)
-				}
-			}
-			if !reflect.DeepEqual(opt.Stats(), gated.Stats()) || !reflect.DeepEqual(opt.Stats(), ungated.Stats()) {
-				fatal(fmt.Errorf("gated block engine diverged from optimized pipeline on %s rep %d", p.Name, rep))
-			}
-			bs := gated.BlockStats()
-			demotes += bs.Demotes
-			promotes += bs.Promotes
-		}
-		opt, on, off := report.Summarize(optR), report.Summarize(onR), report.Summarize(offR)
-		rows = append(rows, []string{
-			p.Name, opt.FCI(2), on.FCI(2), off.FCI(2),
-			report.F(on.Mean/opt.Mean, 2) + "x", report.F(off.Mean/opt.Mean, 2) + "x",
-			fmt.Sprintf("%d/%d", demotes, promotes),
-		})
-	}
-	fmt.Println(report.Table("",
-		[]string{"load", "optimized Mcyc/s", "gated Mcyc/s", "ungated Mcyc/s", "gated/opt", "ungated/opt", "dem/prom"}, rows))
+		[]string{"load", "gate", "fused share", "st/br/ch", "sessions", "bails", "dem/prom", "= opt"}, rows))
 }
 
 // extraXval cross-validates the stochastic model against the
@@ -587,13 +453,7 @@ taskB:` + strings.ReplaceAll(taskPair(1, "BDONE", "    HALT\n"), "LBL", "b") + `
 ` + asmlib.Executive
 
 	soft := core.MustNew(core.Config{Streams: 1})
-	im, err := asm.Assemble(softSrc)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im.Sections {
-		soft.LoadProgram(sec.Base, sec.Words)
-	}
+	im := load(soft, softSrc)
 	taskB, _ := im.Symbol("taskB")
 	soft.Internal().Write(0x20+9+6, 32) // TCB1 AWP
 	soft.Internal().Write(0x20+9+7, taskB)
@@ -624,13 +484,7 @@ hb: LDM R1, [CNT1]
     HALT
 `
 	hard := core.MustNew(core.Config{Streams: 2})
-	im2, err := asm.Assemble(hardSrc)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im2.Sections {
-		hard.LoadProgram(sec.Base, sec.Words)
-	}
+	load(hard, hardSrc)
 	hard.StartStream(0, 0)
 	hard.StartStream(1, 0x100)
 	hardCycles, idle := hard.RunUntilIdle(1_000_000)
@@ -807,15 +661,7 @@ d: ADDI R0, 1
 
 func fourStreamMachine() *core.Machine {
 	m := core.MustNew(core.Config{Streams: 4})
-	im, err := asm.Assemble(fourLoops)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			fatal(err)
-		}
-	}
+	load(m, fourLoops)
 	for i, base := range []uint16{0, 0x100, 0x200, 0x300} {
 		m.StartStream(i, base)
 	}
@@ -873,13 +719,7 @@ f3:   SUBI R0, 1
       BNE f3
       HALT
 `
-	im, err := asm.Assemble(src)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im.Sections {
-		m.LoadProgram(sec.Base, sec.Words)
-	}
+	load(m, src)
 	m.StartStream(0, 0)
 	m.StartStream(1, 0x400)
 	m.StartStream(2, 0x500)
@@ -903,13 +743,7 @@ fn: NOP+            ; allocate a local above the return address
     LDI  R0, 0x33
     RET  1
 `
-	im, err := asm.Assemble(src)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im.Sections {
-		m.LoadProgram(sec.Base, sec.Words)
-	}
+	load(m, src)
 	m.StartStream(0, 0)
 	// Print the window every time AWP moves — the Figure 3.5 movements.
 	prev := m.WindowFile(0).AWP()
@@ -945,13 +779,7 @@ bg: ADDI R0, 1
     RETI
 `
 	m := core.MustNew(core.Config{Streams: 2, VectorBase: 0x200})
-	im, err := asm.Assemble(src)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im.Sections {
-		m.LoadProgram(sec.Base, sec.Words)
-	}
+	load(m, src)
 	m.StartStream(0, 0)
 	m.Run(20)
 	samples, _, err := rt.MeasureDispatchLatency(m, 1, 3, 200, 100)
@@ -978,14 +806,7 @@ func extraDegradation() {
 	rows := [][]string{}
 	for _, meanReq := range []float64{0, 40, 20, 10, 5} {
 		p := workload.Params{Name: "sweep", MeanReq: meanReq, Alpha: 1, TMem: 6, AlJmp: 0.05}
-		res, err := stoch.Run(stoch.Config{
-			Cycles:  *cycles,
-			Seed:    *seed,
-			Streams: []workload.Load{workload.Simple(p)},
-		})
-		if err != nil {
-			fatal(err)
-		}
+		res := stochRun(stoch.Config{Streams: []workload.Load{workload.Simple(p)}})
 		base, err := baseline.Run(workload.Simple(p), 4, *cycles, *seed)
 		if err != nil {
 			fatal(err)
@@ -1000,6 +821,68 @@ func extraDegradation() {
 		})
 	}
 	fmt.Println(report.Table("", []string{"external requests", "PD (1 IS)", "Ps", "delta"}, rows))
+}
+
+// stochRun runs the §4.1 model at the -cycles and -seed flags.
+func stochRun(cfg stoch.Config) stoch.Result {
+	cfg.Cycles, cfg.Seed = *cycles, *seed
+	res, err := stoch.Run(cfg)
+	if err != nil {
+		fatal(err)
+	}
+	return res
+}
+
+// ablationGranularity (E13) expresses one 3:1 partition of two compute
+// streams as a 4-slot and as a 16-slot scheduler table.
+func ablationGranularity() {
+	fmt.Println("Ablation E13 - scheduler granularity: a 3:1 partition of two")
+	fmt.Println("compute streams as a 4-slot and as a 16-slot table.")
+	cpu := workload.Simple(workload.Params{Name: "cpu"})
+	rows := [][]string{}
+	for _, slots := range [][]int{{0, 0, 0, 1}, {0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1}} {
+		res := stochRun(stoch.Config{Slots: slots, Streams: []workload.Load{cpu, cpu}})
+		rows = append(rows, []string{fmt.Sprint(len(slots)),
+			report.F(float64(res.PerStream[0].Executed)/float64(res.Executed), 3), report.F(res.PD(), 3)})
+	}
+	fmt.Println(report.Table("", []string{"slots", "IS0 share", "PD"}, rows))
+}
+
+// ablationPipeDepth (E14) sweeps the pipe length under 4-way
+// partitioned load 1: a deeper pipe holds more same-stream work behind
+// each jump or request than four streams can hide.
+func ablationPipeDepth() {
+	fmt.Println("Ablation E14 - pipeline depth: load 1 partitioned across 4 ISs.")
+	l := workload.Simple(workload.Ld1)
+	rows := [][]string{}
+	for _, d := range []int{2, 4, 6, 8} {
+		res := stochRun(stoch.Config{PipeLen: d, Streams: []workload.Load{l, l, l, l}})
+		rows = append(rows, []string{fmt.Sprint(d), report.F(res.PD(), 3), fmt.Sprint(res.Flushed)})
+	}
+	fmt.Println(report.Table("", []string{"pipe stages", "PD", "flushed"}, rows))
+}
+
+// ablationBus (E15) adds I/O-bound streams to the single asynchronous
+// bus, then gives the four-stream mix a second channel.
+func ablationBus() {
+	fmt.Println("Ablation E15 - bus contention: 1..4 I/O-bound streams on DISC1's")
+	fmt.Println("single asynchronous bus, and the 4-stream mix on two channels.")
+	io := workload.Simple(workload.Params{Name: "io", MeanReq: 4, Alpha: 1, TMem: 12})
+	rows := [][]string{}
+	for _, c := range []struct{ streams, buses int }{{1, 1}, {2, 1}, {3, 1}, {4, 1}, {4, 2}} {
+		streams := make([]workload.Load, c.streams)
+		for s := range streams {
+			streams[s] = io
+		}
+		res := stochRun(stoch.Config{Streams: streams, Buses: c.buses})
+		var rejects uint64
+		for _, ps := range res.PerStream {
+			rejects += ps.Rejects
+		}
+		rows = append(rows, []string{fmt.Sprint(c.streams), fmt.Sprint(c.buses), report.F(res.PD(), 3),
+			report.F(float64(res.BusBusy)/float64(res.Cycles*uint64(c.buses)), 3), fmt.Sprint(rejects)})
+	}
+	fmt.Println(report.Table("", []string{"streams", "buses", "PD", "busy per bus", "rejects"}, rows))
 }
 
 func extraDeadlines() {
@@ -1031,13 +914,7 @@ sl:  SUBI R4, 1
      RETI
 `
 	m := core.MustNew(core.Config{Streams: 3, VectorBase: 0x200})
-	im, err := asm.Assemble(src)
-	if err != nil {
-		fatal(err)
-	}
-	for _, sec := range im.Sections {
-		m.LoadProgram(sec.Base, sec.Words)
-	}
+	load(m, src)
 	m.StartStream(0, 0)
 	tasks := []rt.PeriodicTask{
 		{Name: "fast", Stream: 1, Bit: 3, Period: 200, Deadline: 80, AckAddr: 0x10},
@@ -1077,11 +954,22 @@ func extraIsolation() {
 		res.BusFaults.FCI(1))
 }
 
+// load assembles src into m's program memory.
+func load(m *core.Machine, src string) *asm.Image {
+	im, err := asm.Assemble(src)
+	if err != nil {
+		fatal(err)
+	}
+	for _, sec := range im.Sections {
+		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
+			fatal(err)
+		}
+	}
+	return im
+}
+
 func fatal(err error) {
 	stopProfiles()
 	fmt.Fprintln(os.Stderr, "experiments:", err)
 	os.Exit(1)
 }
-
-// keep strings import used even if formats change
-var _ = strings.TrimSpace
