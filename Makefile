@@ -23,6 +23,8 @@ vet:
 test:
 	$(GO) test ./...
 
+# cmd/experiments' golden test is built !race: it runs a non-race build
+# of the experiments binary, so under -race it would repeat `make test`.
 race:
 	$(GO) test -race ./...
 

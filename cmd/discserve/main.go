@@ -12,12 +12,14 @@
 //	                  is printed to stderr either way)
 //	-workers n        session shards: worker goroutines, each owning
 //	                  its sessions' machines exclusively (default 4)
-//	-queue n          per-worker bounded request queue; a request that
-//	                  finds the queue full gets HTTP 429 (default 64)
+//	-queue n          per-worker bound on accepted, unfinished requests;
+//	                  the next request gets HTTP 429 (default 64)
 //	-max-sessions n   live-session cap across the server (default 1024)
 //	-max-step-cycles n
 //	                  largest single step request in cycles
-//	                  (default 5e6)
+//	                  (default 5e6); a worker runs a step in slices
+//	                  of 2^15 cycles, taking turns with its other
+//	                  sessions
 //	-drain-dir dir    on SIGINT/SIGTERM, after in-flight requests
 //	                  finish, snapshot every live session into this
 //	                  directory as <id>.snap (crash-atomically) before
@@ -37,7 +39,9 @@
 //
 // On SIGINT/SIGTERM the server drains gracefully: it stops accepting
 // work, finishes in-flight steps, snapshots live sessions (with
-// -drain-dir), and exits 0. A second signal kills it immediately.
+// -drain-dir), and exits 0, or 1 when a session could not be
+// snapshotted (a crashed one is skipped and named). A second signal
+// kills it immediately.
 package main
 
 import (
@@ -62,7 +66,7 @@ func main() {
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:8765", "listen address (port 0 picks a free port)")
 	workers := flag.Int("workers", 4, "session shards (worker goroutines)")
-	queue := flag.Int("queue", 64, "per-worker bounded request queue depth")
+	queue := flag.Int("queue", 64, "per-worker bound on accepted, unfinished requests")
 	maxSessions := flag.Int("max-sessions", 1024, "live-session cap")
 	maxStepCycles := flag.Int("max-step-cycles", 5_000_000, "largest single step request in cycles")
 	drainDir := flag.String("drain-dir", "", "snapshot live sessions here on graceful shutdown")

@@ -1,3 +1,9 @@
+// The golden test runs a non-race build of the experiments binary, so
+// under -race it would repeat `go test`'s work byte for byte; `make
+// test` runs it and `make race` leaves it out.
+
+//go:build !race
+
 package main
 
 import (
@@ -12,8 +18,8 @@ import (
 
 // TestExperimentsGolden pins every paper number this repository
 // reports. Each registered experiment runs through the built binary
-// (so `go test -race` does not put the stochastic sweeps under the
-// race detector) at -par 1 and -par 4, and both outputs must equal
+// (so the stochastic sweeps never run under the race detector) at
+// -par 1 and -par 4, and both outputs must equal
 // testdata/<name>.golden byte for byte. A change to a model or machine
 // rule therefore fails the subtests named after the tables it moved.
 // The docs subtests check that every EXPERIMENTS.md block tagged

@@ -833,19 +833,31 @@ func stochRun(cfg stoch.Config) stoch.Result {
 	return res
 }
 
-// ablationGranularity (E13) expresses one 3:1 partition of two compute
-// streams as a 4-slot and as a 16-slot scheduler table.
+// ablationGranularity (E13) expresses one 3:1 partition of two
+// compute streams that branch at load 1's rate as a 4-slot table and
+// as a 16-slot table with the minority stream's four slots clumped. A
+// jump flushes every same-IS instruction behind it in the pipe, so
+// where a table puts a stream's slots changes what its jumps cost.
 func ablationGranularity() {
 	fmt.Println("Ablation E13 - scheduler granularity: a 3:1 partition of two")
-	fmt.Println("compute streams as a 4-slot and as a 16-slot table.")
-	cpu := workload.Simple(workload.Params{Name: "cpu"})
-	rows := [][]string{}
-	for _, slots := range [][]int{{0, 0, 0, 1}, {0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1}} {
-		res := stochRun(stoch.Config{Slots: slots, Streams: []workload.Load{cpu, cpu}})
-		rows = append(rows, []string{fmt.Sprint(len(slots)),
-			report.F(float64(res.PerStream[0].Executed)/float64(res.Executed), 3), report.F(res.PD(), 3)})
+	fmt.Println("branching compute streams as a 4-slot table and as a 16-slot")
+	fmt.Println("table with IS1's slots clumped.")
+	cpu := workload.Simple(workload.Params{Name: "cpu", AlJmp: workload.Ld1.AlJmp})
+	clumped := make([]int, 16)
+	for i := 12; i < 16; i++ {
+		clumped[i] = 1
 	}
-	fmt.Println(report.Table("", []string{"slots", "IS0 share", "PD"}, rows))
+	rows := [][]string{}
+	for _, t := range []struct {
+		layout string
+		slots  []int
+	}{{"spread", []int{0, 0, 0, 1}}, {"clumped", clumped}} {
+		res := stochRun(stoch.Config{Slots: t.slots, Streams: []workload.Load{cpu, cpu}})
+		rows = append(rows, []string{fmt.Sprint(len(t.slots)), t.layout,
+			report.F(float64(res.PerStream[0].Executed)/float64(res.Executed), 3), report.F(res.PD(), 3),
+			fmt.Sprint(res.Flushed)})
+	}
+	fmt.Println(report.Table("", []string{"slots", "IS1 slots", "IS0 share", "PD", "flushed"}, rows))
 }
 
 // ablationPipeDepth (E14) sweeps the pipe length under 4-way

@@ -14,10 +14,12 @@ import (
 // memory.
 const maxBodyBytes = 16 << 20
 
-// apiError is the uniform JSON error body.
+// apiError is the uniform JSON error body. Stack is set only for a
+// crashed session: the worker's stack at its panic.
 type apiError struct {
 	Schema string `json:"schema"`
 	Error  string `json:"error"`
+	Stack  string `json:"stack,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -29,7 +31,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func writeErr(w http.ResponseWriter, err error) {
-	writeJSON(w, statusOf(err), apiError{Schema: Schema, Error: err.Error()})
+	body := apiError{Schema: Schema, Error: err.Error()}
+	var crash *CrashError
+	if errors.As(err, &crash) {
+		body.Stack = crash.Stack
+	}
+	writeJSON(w, statusOf(err), body)
 }
 
 // statusOf maps the server's sentinel errors onto HTTP status codes;
@@ -45,6 +52,8 @@ func statusOf(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrBudget):
 		return http.StatusConflict
+	case errors.Is(err, ErrCrashed):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

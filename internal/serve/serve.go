@@ -7,17 +7,27 @@
 //
 // Sessions are sharded across a fixed pool of worker goroutines. Every
 // operation that touches a session's machine — step, inspect,
-// snapshot, the parent half of a fork — runs as a closure on the one
+// snapshot, the parent half of a fork — is a request queued on the one
 // worker that owns the session, so the deterministic core stays
 // single-threaded: no machine is ever stepped and snapshotted from two
 // goroutines at once, and `go test -race` proves it. The HTTP layer
-// only marshals JSON and waits for its closure to complete.
+// only marshals JSON and waits for its request to complete.
 //
-// Overload is handled by bounded queues, not unbounded goroutines:
-// each worker has a fixed-depth request queue, and a request that
-// finds the queue full fails fast with ErrBusy (HTTP 429) instead of
-// piling up. A server being drained refuses new work with ErrDraining
-// (HTTP 503) while in-flight requests finish.
+// Each session keeps its requests in a FIFO of its own, and the worker
+// takes turns among the sessions with queued work, round-robin. A turn
+// runs one request, or one slice of at most stepSlice cycles of a
+// step, so a 5M-cycle step no longer holds every other session on its
+// worker until it ends. Slicing only chooses where the worker may
+// pause: a sliced step leaves its machine byte-identical to an
+// unsliced one.
+//
+// Overload is handled by bounded queues, not unbounded goroutines: a
+// worker accepts at most QueueDepth unfinished requests, and the next
+// one fails fast with ErrBusy (HTTP 429) instead of piling up. A
+// server being drained refuses new work with ErrDraining (HTTP 503)
+// while in-flight requests finish. A request that panics quarantines
+// only its own session: that session answers ErrCrashed (HTTP 500)
+// from then on, and the worker goes on serving the others.
 //
 // # Determinism
 //
@@ -36,25 +46,36 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime/debug"
 	"sort"
 	"sync"
 
 	"disc/internal/snap"
 )
 
+// stepSlice bounds one turn of a step request: a worker runs at most
+// this many cycles of one session's step before it moves on to the
+// next session with queued work. 1<<15 cycles is about 0.5 ms on the
+// fused long-step program (DESIGN.md §15.1). A step of stepSlice
+// cycles or fewer runs in one turn and makes exactly the Guard.StepN
+// calls of an unsliced loop.
+const stepSlice = 1 << 15
+
 // Config sizes the server. The zero value selects the defaults.
 type Config struct {
 	// Workers is the number of session shards (worker goroutines).
 	// Default 4.
 	Workers int
-	// QueueDepth is each worker's bounded request queue. A request
-	// that finds its session's queue full fails with ErrBusy rather
-	// than queueing unboundedly. Default 64.
+	// QueueDepth bounds each worker's accepted but unfinished requests,
+	// the one being served included. The next request fails with
+	// ErrBusy rather than queueing unboundedly. Default 64.
 	QueueDepth int
 	// MaxSessions caps live sessions across the server. Default 1024.
 	MaxSessions int
 	// MaxStepCycles caps a single step request's cycle count; larger
-	// requests are invalid (split them client-side). Default 5e6.
+	// requests are invalid. The worker runs a step in slices of
+	// stepSlice cycles, so a long step does not hold up the other
+	// sessions on its worker. Default 5e6.
 	MaxStepCycles int
 }
 
@@ -82,7 +103,23 @@ var (
 	ErrSessionLimit = errors.New("serve: session limit reached")      // 429
 	ErrBudget       = errors.New("serve: session cycle budget spent") // 409
 	ErrClosed       = errors.New("serve: server is closed")           // 503
+	ErrCrashed      = errors.New("serve: session crashed")            // 500
 )
+
+// CrashError is the post-mortem of a session whose request panicked.
+// That request and every later one touching the session's machine
+// answer it; errors.Is(err, ErrCrashed) holds.
+type CrashError struct {
+	ID    string // the quarantined session
+	Value string // the panic value
+	Stack string // the worker's stack at the panic
+}
+
+func (e *CrashError) Error() string {
+	return fmt.Sprintf("serve: session %s crashed: %s", e.ID, e.Value)
+}
+
+func (e *CrashError) Unwrap() error { return ErrCrashed }
 
 // Server hosts simulation sessions over a fixed worker pool.
 type Server struct {
@@ -99,13 +136,27 @@ type Server struct {
 	wg      sync.WaitGroup
 }
 
-// task is one unit of session work; done closes when fn has run.
+// task is one queued request. run performs one turn of it and reports
+// whether the request is finished: a step takes one turn per slice,
+// every other request a single turn. err is the crash the request
+// answers instead, and done closes when the request is finished.
 type task struct {
-	fn   func()
+	run  func() bool
+	err  error
 	done chan struct{}
 }
 
-type worker struct{ queue chan task }
+func newTask(run func() bool) *task { return &task{run: run, done: make(chan struct{})} }
+
+// worker serves the sessions it owns. mu guards its fields and every
+// owned session's queue.
+type worker struct {
+	mu      sync.Mutex
+	wake    sync.Cond  // signalled when ready gains a session or the pool closes
+	ready   []*Session // sessions with queued work and no turn running, in turn order
+	pending int        // accepted, unfinished requests
+	closed  bool
+}
 
 // New starts a server with cfg's worker pool. Close releases it.
 func New(cfg Config) *Server {
@@ -116,18 +167,66 @@ func New(cfg Config) *Server {
 		sessions: make(map[string]*Session),
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		w := &worker{queue: make(chan task, cfg.QueueDepth)}
+		w := &worker{}
+		w.wake.L = &w.mu
 		s.workers = append(s.workers, w)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			for t := range w.queue {
-				t.fn()
-				close(t.done)
-			}
+			w.serve()
 		}()
 	}
 	return s
+}
+
+// serve is the worker loop: it gives the session at the head of ready
+// one turn, sends it to the back while it still has queued work, and
+// returns once the pool is closed and nothing is left.
+func (w *worker) serve() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for len(w.ready) == 0 && !w.closed {
+			w.wake.Wait()
+		}
+		if len(w.ready) == 0 {
+			return
+		}
+		sess := w.ready[0]
+		w.ready = w.ready[:copy(w.ready, w.ready[1:])]
+		t := sess.queue[0]
+		w.mu.Unlock()
+		finished := sess.turn(t)
+		w.mu.Lock()
+		if finished {
+			n := copy(sess.queue, sess.queue[1:])
+			sess.queue[n] = nil
+			sess.queue = sess.queue[:n]
+			w.pending--
+			close(t.done)
+		}
+		if len(sess.queue) > 0 {
+			w.ready = append(w.ready, sess)
+		}
+	}
+}
+
+// turn runs one turn of t, the head of the session's queue, on its
+// worker. A panic quarantines the session: t finishes with the crash,
+// and so does every later request that reaches the session.
+func (sess *Session) turn(t *task) (finished bool) {
+	if sess.crash != nil {
+		t.err = sess.crash
+		return true
+	}
+	defer func() {
+		if v := recover(); v != nil {
+			sess.crash = &CrashError{ID: sess.id, Value: fmt.Sprint(v), Stack: string(debug.Stack())}
+			t.err = sess.crash
+			finished = true
+		}
+	}()
+	return t.run()
 }
 
 // Close stops the worker pool after the queued work drains. Requests
@@ -140,7 +239,10 @@ func (s *Server) Close() {
 	}
 	s.closed = true
 	for _, w := range s.workers {
-		close(w.queue)
+		w.mu.Lock()
+		w.closed = true
+		w.wake.Broadcast()
+		w.mu.Unlock()
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -156,41 +258,45 @@ func (s *Server) SessionsLive() int {
 	return len(s.sessions)
 }
 
-// submit runs fn on worker w and waits for it. The enqueue is
-// non-blocking: a full queue is ErrBusy, the caller's backpressure.
-func (s *Server) submit(w int, fn func()) error {
-	t := task{fn: fn, done: make(chan struct{})}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// enqueue appends t to sess's queue on its worker. The bound is
+// non-blocking: a worker already holding QueueDepth unfinished
+// requests refuses with ErrBusy, the caller's backpressure. Drain
+// passes force, because it must reach every session even when the
+// pool is saturated; it adds at most one request per session.
+func (s *Server) enqueue(sess *Session, t *task, force bool) error {
+	w := s.workers[sess.worker]
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
 		return ErrClosed
 	}
-	select {
-	case s.workers[w].queue <- t:
-	default:
-		s.mu.Unlock()
+	if !force && w.pending >= s.cfg.QueueDepth {
 		s.met.rejected()
 		return ErrBusy
 	}
-	s.mu.Unlock()
-	<-t.done
+	w.pending++
+	sess.queue = append(sess.queue, t)
+	if len(sess.queue) == 1 {
+		w.ready = append(w.ready, sess)
+		w.wake.Signal()
+	}
 	return nil
 }
 
-// submitWait is submit without the fail-fast: it blocks until the
-// queue has room. Only the drain path uses it — drain must reach every
-// session even when the pool is saturated.
-func (s *Server) submitWait(w int, fn func()) error {
-	t := task{fn: fn, done: make(chan struct{})}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+// submitTurns queues a request on sess's worker and waits until it is
+// finished; run is called once per turn until it reports so.
+func (s *Server) submitTurns(sess *Session, run func() bool) error {
+	t := newTask(run)
+	if err := s.enqueue(sess, t, false); err != nil {
+		return err
 	}
-	s.workers[w].queue <- t
-	s.mu.Unlock()
 	<-t.done
-	return nil
+	return t.err
+}
+
+// submit runs fn as a one-turn request on sess's worker and waits.
+func (s *Server) submit(sess *Session, fn func()) error {
+	return s.submitTurns(sess, func() bool { fn(); return true })
 }
 
 // lookup finds a session, honouring the drain gate.
@@ -232,11 +338,12 @@ func (s *Server) Create(req CreateRequest) (SessionInfo, error) {
 	s.mu.Unlock()
 
 	// Build off-pool: the machine is single-owner until registered, so
-	// assembly and restore need no worker serialization yet.
+	// assembly, restore and the first inspection need no worker yet.
 	sess, err := buildSession(id, widx, req)
 	if err != nil {
 		return SessionInfo{}, err
 	}
+	info := sess.info()
 
 	s.mu.Lock()
 	if s.closed || s.draining {
@@ -250,7 +357,7 @@ func (s *Server) Create(req CreateRequest) (SessionInfo, error) {
 	s.sessions[id] = sess
 	s.mu.Unlock()
 	s.met.sessionCreated()
-	return sess.info(), nil
+	return info, nil
 }
 
 // Step advances a session by up to `cycles` cycles under its guard.
@@ -262,16 +369,15 @@ func (s *Server) Step(id string, cycles int) (StepResult, error) {
 	if err != nil {
 		return StepResult{}, err
 	}
-	var res StepResult
-	var stepErr error
-	if err := s.submit(sess.worker, func() { res, stepErr = sess.step(cycles) }); err != nil {
+	st := &stepRun{sess: sess, max: cycles}
+	if err := s.submitTurns(sess, st.turn); err != nil {
 		return StepResult{}, err
 	}
-	if stepErr != nil {
-		return StepResult{}, stepErr
+	if st.err != nil {
+		return StepResult{}, st.err
 	}
-	s.met.stepped(uint64(res.CyclesRun))
-	return res, nil
+	s.met.stepped(uint64(st.res.CyclesRun))
+	return st.res, nil
 }
 
 // Inspect reports a session's registers, statistics and status.
@@ -281,7 +387,7 @@ func (s *Server) Inspect(id string) (SessionInfo, error) {
 		return SessionInfo{}, err
 	}
 	var info SessionInfo
-	if err := s.submit(sess.worker, func() { info = sess.info() }); err != nil {
+	if err := s.submit(sess, func() { info = sess.info() }); err != nil {
 		return SessionInfo{}, err
 	}
 	return info, nil
@@ -295,7 +401,7 @@ func (s *Server) SnapshotBytes(id string) ([]byte, error) {
 	}
 	var blob []byte
 	var snapErr error
-	if err := s.submit(sess.worker, func() { blob, snapErr = snap.Bytes(sess.m) }); err != nil {
+	if err := s.submit(sess, func() { blob, snapErr = snap.Bytes(sess.m) }); err != nil {
 		return nil, err
 	}
 	return blob, snapErr
@@ -311,13 +417,13 @@ func (s *Server) Fork(id string) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
-	// The blob and the budget accounting are captured in one closure on
+	// The blob and the budget accounting are captured in one request on
 	// the parent's worker, so the pair is a consistent cut of a machine
 	// nobody else is stepping.
 	var blob []byte
 	var stepped uint64
 	var snapErr error
-	if err := s.submit(parent.worker, func() {
+	if err := s.submit(parent, func() {
 		blob, snapErr = snap.Bytes(parent.m)
 		stepped = parent.stepped
 	}); err != nil {
@@ -345,6 +451,7 @@ func (s *Server) Fork(id string) (SessionInfo, error) {
 	if err != nil {
 		return SessionInfo{}, err
 	}
+	info := twin.info()
 	s.mu.Lock()
 	if s.closed || s.draining {
 		s.mu.Unlock()
@@ -353,7 +460,7 @@ func (s *Server) Fork(id string) (SessionInfo, error) {
 	s.sessions[twinID] = twin
 	s.mu.Unlock()
 	s.met.forked()
-	return twin.info(), nil
+	return info, nil
 }
 
 // Delete unregisters a session. Work already queued for it finishes
@@ -371,24 +478,33 @@ func (s *Server) Delete(id string) error {
 	return nil
 }
 
-// List returns every live session's summary, in session-ID order.
-func (s *Server) List() []SessionSummary {
+// sorted returns the live sessions in session-ID order.
+func (s *Server) sorted() []*Session {
 	s.mu.Lock()
-	ids := make([]string, 0, len(s.sessions))
-	byID := make(map[string]*Session, len(s.sessions))
+	out := make([]*Session, 0, len(s.sessions))
 	//detlint:ignore collection pass; sorted before use
-	for id, sess := range s.sessions {
-		ids = append(ids, id)
-		byID[id] = sess
+	for _, sess := range s.sessions {
+		out = append(out, sess)
 	}
 	s.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]SessionSummary, 0, len(ids))
-	for _, id := range ids {
-		sess := byID[id]
+	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	return out
+}
+
+// List returns every live session's summary, in session-ID order. A
+// crashed session lists with status "crashed" and nothing else, since
+// its machine is no longer read.
+func (s *Server) List() []SessionSummary {
+	sessions := s.sorted()
+	out := make([]SessionSummary, 0, len(sessions))
+	for _, sess := range sessions {
 		var sum SessionSummary
-		if err := s.submit(sess.worker, func() { sum = sess.summary() }); err != nil {
-			continue // busy or deleted mid-list: skip, don't block the listing
+		err := s.submit(sess, func() { sum = sess.summary() })
+		switch {
+		case errors.Is(err, ErrCrashed):
+			sum = SessionSummary{ID: sess.id, Status: "crashed"}
+		case err != nil:
+			continue // busy or closed mid-list: skip, don't block the listing
 		}
 		out = append(out, sum)
 	}
@@ -397,9 +513,12 @@ func (s *Server) List() []SessionSummary {
 
 // Drain gates out new work, waits for the queued work to finish, and
 // snapshots every live session crash-atomically into dir as
-// <session-id>.snap (skipped when dir is empty). This is the graceful
-// half of discserve's SIGINT/SIGTERM handling; the sessions stay
-// registered so a supervisor can still inspect them before exit.
+// <session-id>.snap (skipped when dir is empty). A session's snapshot
+// queues behind its own requests, so it includes a step that was in
+// flight when Drain began. A crashed session is not snapshotted; its
+// crash is in the returned error, with any failed capture. This is the
+// graceful half of discserve's SIGINT/SIGTERM handling; the sessions
+// stay registered so a supervisor can still inspect them before exit.
 func (s *Server) Drain(dir string) error {
 	s.mu.Lock()
 	if s.closed {
@@ -407,31 +526,28 @@ func (s *Server) Drain(dir string) error {
 		return ErrClosed
 	}
 	s.draining = true
-	ids := make([]string, 0, len(s.sessions))
-	byID := make(map[string]*Session, len(s.sessions))
-	//detlint:ignore collection pass; sorted before use
-	for id, sess := range s.sessions {
-		ids = append(ids, id)
-		byID[id] = sess
-	}
 	s.mu.Unlock()
-	sort.Strings(ids)
 
-	var firstErr error
-	for _, id := range ids {
-		sess := byID[id]
+	var errs []error
+	for _, sess := range s.sorted() {
 		var err error
-		werr := s.submitWait(sess.worker, func() {
+		t := newTask(func() bool {
 			if dir != "" {
-				err = snap.Capture(filepath.Join(dir, id+".snap"), sess.m)
+				err = snap.Capture(filepath.Join(dir, sess.id+".snap"), sess.m)
 			}
+			return true
 		})
-		if werr != nil {
+		if werr := s.enqueue(sess, t, true); werr != nil {
 			err = werr
+		} else {
+			<-t.done
+			if t.err != nil {
+				err = t.err
+			}
 		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("serve: drain %s: %w", id, err)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("serve: drain %s: %w", sess.id, err))
 		}
 	}
-	return firstErr
+	return errors.Join(errs...)
 }

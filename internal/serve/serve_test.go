@@ -217,33 +217,29 @@ func TestSessionLimit(t *testing.T) {
 	}
 }
 
-// TestBusyBackpressure wedges the (single) worker and fills its
-// (depth-one) queue, so the next request must fail fast with ErrBusy —
-// the bounded-queue overload contract behind HTTP 429.
+// TestBusyBackpressure holds the (single) worker on a request of its
+// own, which fills its QueueDepth of one, so the next request must fail
+// fast with ErrBusy — the bounded-queue overload contract behind HTTP
+// 429 — and be counted, and service must recover once it finishes.
 func TestBusyBackpressure(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1})
-	defer s.Close()
+	s := newServer(t, Config{Workers: 1, QueueDepth: 1})
 
 	info := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1})
+	other := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1})
+	release, held := hold(t, s, sessionOf(t, s, info.ID))
 
-	release := make(chan struct{})
-	blocked := task{fn: func() { <-release }, done: make(chan struct{})}
-	filler := task{fn: func() {}, done: make(chan struct{})}
-	s.workers[0].queue <- blocked
-	// This send only completes once the worker has dequeued `blocked`
-	// (and is now parked in it), leaving the queue full again.
-	s.workers[0].queue <- filler
-
-	if _, err := s.Step(info.ID, 10); !errors.Is(err, ErrBusy) {
-		t.Fatalf("saturated queue: got %v, want ErrBusy", err)
+	// The bound is the worker's, so it refuses every session it owns.
+	for _, id := range []string{info.ID, other.ID} {
+		if _, err := s.Step(id, 10); !errors.Is(err, ErrBusy) {
+			t.Fatalf("saturated queue, step %s: got %v, want ErrBusy", id, err)
+		}
 	}
 	if st := s.Stats(); st.RejectedBusy == 0 {
 		t.Fatalf("rejection not counted: %+v", st)
 	}
 
-	close(release)
-	<-blocked.done
-	<-filler.done
+	release()
+	<-held.done
 	if _, err := s.Step(info.ID, 10); err != nil {
 		t.Fatalf("step after the queue drained: %v", err)
 	}

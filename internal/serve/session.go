@@ -144,10 +144,10 @@ func boardRanges(ramWaits int) []analysis.BusRange {
 }
 
 // Session is one hosted simulation. The fields below the worker index
-// are owned by that worker: only closures running on it may touch
+// are owned by that worker: only requests running on it may touch
 // them once the session is registered. Fields up to and including
 // blockOpts are immutable after construction and safe to read from
-// any goroutine.
+// any goroutine; queue is guarded by the worker's mutex.
 type Session struct {
 	id     string
 	worker int
@@ -159,6 +159,8 @@ type Session struct {
 	im          *asm.Image // program-path sessions: retained for fork re-attach
 	blockOpts   analysis.Options
 
+	queue []*task // this session's requests, oldest first; the head is served
+
 	// Worker-owned state.
 	m       *core.Machine
 	g       *core.Guard
@@ -169,6 +171,7 @@ type Session struct {
 	status  string // running | idle | deadlock | budget
 	lastErr string
 	diag    []string
+	crash   *CrashError // set once a request panicked; the session is quarantined
 }
 
 func boardSpecOf(req CreateRequest) (boardSpec, error) {
@@ -402,35 +405,54 @@ type StepResult struct {
 	BudgetRemaining *uint64  `json:"budget_remaining,omitempty"`
 }
 
-// step advances the session by up to max cycles under its guard. It
-// runs on the owning worker. A spent budget is ErrBudget; a deadlock
-// diagnosis is a result, not an error — the session stays inspectable.
-func (sess *Session) step(max int) (StepResult, error) {
-	if sess.budget > 0 {
+// stepRun is one step request in progress on the session's worker.
+// Each turn runs at most stepSlice cycles of it. The guard calls, the
+// budget clamp and the result are those of one unsliced loop of max
+// cycles: between turns the machine is at rest, so slicing only
+// chooses where the worker may serve another session.
+type stepRun struct {
+	sess *Session
+	max  int // cycles asked for, clamped to the budget on the first turn
+	n    int // cycles run so far; only the first turn sees 0
+	res  StepResult
+	err  error // ErrBudget
+}
+
+// turn runs the next slice of the step and reports whether the step is
+// finished. A spent budget is ErrBudget; a deadlock diagnosis is a
+// result, not an error — the session stays inspectable.
+func (st *stepRun) turn() bool {
+	sess := st.sess
+	if st.n == 0 && sess.budget > 0 {
 		rem := sess.budget - sess.stepped
 		if rem == 0 {
 			sess.status = "budget"
-			return StepResult{}, ErrBudget
+			st.err = ErrBudget
+			return true
 		}
-		if uint64(max) > rem {
-			max = int(rem)
-		}
-	}
-	n := 0
-	done := false
-	var runErr error
-	for n < max {
-		k, d, err := sess.g.StepN(max - n)
-		n += k
-		if err != nil {
-			runErr = err
-			break
-		}
-		if d {
-			done = true
-			break
+		if uint64(st.max) > rem {
+			st.max = int(rem)
 		}
 	}
+	end := min(st.n+stepSlice, st.max)
+	for st.n < end {
+		k, done, err := sess.g.StepN(end - st.n)
+		st.n += k
+		if err != nil || done {
+			st.res = sess.finishStep(st.n, done, err)
+			return true
+		}
+	}
+	if st.n < st.max {
+		return false
+	}
+	st.res = sess.finishStep(st.n, false, nil)
+	return true
+}
+
+// finishStep books a step of n cycles that ended idle (done), with a
+// guard verdict (runErr), or with its cycles spent, and reports it.
+func (sess *Session) finishStep(n int, done bool, runErr error) StepResult {
 	sess.stepped += uint64(n)
 	sess.steps++
 	switch {
@@ -465,7 +487,7 @@ func (sess *Session) step(max int) (StepResult, error) {
 		rem := sess.budget - sess.stepped
 		res.BudgetRemaining = &rem
 	}
-	return res, nil
+	return res
 }
 
 // StreamInfo is one stream's architectural view.

@@ -171,19 +171,23 @@ func (f *File) phys(v int) int {
 	return m
 }
 
+// visible has one element per visible register. Read and Write index
+// it to check n: a register outside the window is an index-out-of-range
+// panic, which keeps both small enough for the compiler to inline into
+// the pipeline's operand reads and writebacks.
+var visible [isa.WindowSize]struct{}
+
 // Read returns the value of visible register Rn (n in 0..WindowSize-1).
+// An n outside the window panics.
 func (f *File) Read(n int) uint16 {
-	if n < 0 || n >= isa.WindowSize {
-		panic(fmt.Sprintf("stackwin: Read(R%d) outside visible window", n))
-	}
+	_ = visible[n]
 	return f.regs[f.phys(f.awp-n)]
 }
 
-// Write stores v into visible register Rn.
+// Write stores v into visible register Rn. An n outside the window
+// panics.
 func (f *File) Write(n int, v uint16) {
-	if n < 0 || n >= isa.WindowSize {
-		panic(fmt.Sprintf("stackwin: Write(R%d) outside visible window", n))
-	}
+	_ = visible[n]
 	f.regs[f.phys(f.awp-n)] = v
 }
 

@@ -183,17 +183,27 @@ func TestSetAWPAbsolute(t *testing.T) {
 	}
 }
 
+// TestVisibleWindowBoundsPanic: a register number outside R0..R7 must
+// panic on both Read and Write, never reach a register of another
+// frame.
 func TestVisibleWindowBoundsPanic(t *testing.T) {
 	f := MustNew(DefaultDepth)
-	for _, n := range []int{-1, isa.WindowSize} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Read(%d) did not panic", n)
-				}
-			}()
-			f.Read(n)
+	mustPanic := func(op string, n int, fn func()) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s(%d) did not panic", op, n)
+			}
 		}()
+		fn()
+	}
+	for _, n := range []int{-1, isa.WindowSize, 100} {
+		mustPanic("Read", n, func() { f.Read(n) })
+		mustPanic("Write", n, func() { f.Write(n, 0xBEEF) })
+	}
+	for i := 0; i < f.Depth(); i++ {
+		if v := f.ReadAt(i); v != 0 {
+			t.Fatalf("an out-of-window Write reached position %d (=%#x)", i, v)
+		}
 	}
 }
 
