@@ -128,7 +128,11 @@ var (
 
 // AttachBlockEngine analyzes im, compiles the resulting plan and
 // attaches the block table to m — the one-call opt-in to
-// block-compiled execution. The image must already be loaded.
+// block-compiled execution. The image must already be loaded. The
+// plan and report of each (image, options) pair are computed once and
+// reused, so re-attaching after a fork or Restore costs only the table
+// build; do not modify an image after its first attach, and treat the
+// returned report as shared and read-only.
 func AttachBlockEngine(m *Machine, im *Image, opts AnalysisOptions) (*BlockTable, *AnalysisReport) {
 	return blockc.Attach(m, im, opts)
 }

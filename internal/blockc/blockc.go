@@ -71,9 +71,22 @@
 // yields the same spans in the same order, so a rebuilt table is
 // byte-equivalent and `make detlint` holds this package to the
 // repository's determinism rules.
+//
+// # Plan memo
+//
+// Attach plans each (image, options) pair once and keeps the plan and
+// the analysis report in a small fixed-capacity memo, so the re-attach
+// after every fork or restore rebuilds only the table. The memo holds
+// plans, never tables: core.BuildBlockTable still compiles against the
+// target machine's own program store on every attach, so a memoized
+// plan is as much a hint as a fresh one, and a hit builds the table a
+// fresh analysis would.
 package blockc
 
 import (
+	"slices"
+	"sync"
+
 	"disc/internal/analysis"
 	"disc/internal/asm"
 	"disc/internal/core"
@@ -101,19 +114,106 @@ func Compile(prog *mem.Program, sum *analysis.Summary) *core.BlockTable {
 	return core.BuildBlockTable(prog, Plan(sum))
 }
 
-// Attach analyzes im, compiles the resulting plan against m's program
-// memory, and attaches the table to m. The image must already be
-// loaded into m (Attach compiles what the machine will execute, keyed
-// to the program store's mutation version). The analysis report is
-// returned alongside the table so callers can surface findings; a
-// report with errors does not block attachment — analysis errors mark
-// suspect code, and suspect code simply fails re-qualification or
-// session entry.
+// Attach plans im, compiles the plan against m's program memory, and
+// attaches the table to m. The image must already be loaded into m
+// (Attach compiles what the machine will execute, keyed to the program
+// store's mutation version). The analysis report is returned alongside
+// the table so callers can surface findings; a report with errors does
+// not block attachment — analysis errors mark suspect code, and suspect
+// code simply fails re-qualification or session entry.
+//
+// Planning runs once per (image, options) pair: the plan and report
+// are memoized (see plans), and later attaches of the same image with
+// equal options, such as the re-attach after a fork or restore, reuse
+// them while the pair is among the planCap most recently planned. The
+// table itself is always built afresh from m's own program store. So
+// an image must not be modified after its first attach, and the
+// returned report is shared between attaches and read-only.
 func Attach(m *core.Machine, im *asm.Image, opts analysis.Options) (*core.BlockTable, *analysis.Report) {
-	sum, rep := analysis.Summarize(im, opts)
-	t := Compile(m.Program(), sum)
+	specs, rep := plans.get(im, opts)
+	t := core.BuildBlockTable(m.Program(), specs)
 	m.SetBlockTable(t)
 	return t, rep
+}
+
+// planCap bounds the plan memo. Attach traffic is a handful of images
+// re-attached many times: discbench's sim_fused attaches 8 distinct
+// images and serve_http 4.
+const planCap = 16
+
+// plans memoizes Attach's planning. It holds plans, never tables: a
+// core.BlockTable's version is a per-store counter, so two machines can
+// share a version while holding different programs, whereas a plan is
+// only a hint that BuildBlockTable re-qualifies against the target
+// store on every attach. An entry holds its image, so no other image
+// can take that address while the entry lives.
+var plans planMemo
+
+// planMemo is a fixed-capacity list of plans, oldest first, scanned in
+// order and guarded by a mutex because serve workers attach
+// concurrently.
+type planMemo struct {
+	mu      sync.Mutex
+	entries []planEntry
+}
+
+type planEntry struct {
+	im    *asm.Image
+	opts  analysis.Options // a private copy: callers may reuse their slices
+	specs []core.RegionSpec
+	rep   *analysis.Report
+}
+
+// get returns the plan and report for (im, opts), running
+// analysis.Summarize and Plan only on a miss. Two goroutines that miss
+// together both plan; the first to finish is kept and both return it.
+func (p *planMemo) get(im *asm.Image, opts analysis.Options) ([]core.RegionSpec, *analysis.Report) {
+	p.mu.Lock()
+	specs, rep, ok := p.lookup(im, opts)
+	p.mu.Unlock()
+	if ok {
+		return specs, rep
+	}
+	sum, rep := analysis.Summarize(im, opts)
+	specs = Plan(sum)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if specs, rep, ok := p.lookup(im, opts); ok {
+		return specs, rep
+	}
+	if len(p.entries) == planCap {
+		p.entries = p.entries[:copy(p.entries, p.entries[1:])]
+	}
+	opts.Entries = slices.Clone(opts.Entries)
+	opts.EntryLabels = slices.Clone(opts.EntryLabels)
+	opts.BusRanges = slices.Clone(opts.BusRanges)
+	p.entries = append(p.entries, planEntry{im: im, opts: opts, specs: specs, rep: rep})
+	return specs, rep
+}
+
+// lookup scans the entries in order; the caller holds p.mu.
+func (p *planMemo) lookup(im *asm.Image, opts analysis.Options) ([]core.RegionSpec, *analysis.Report, bool) {
+	for _, e := range p.entries {
+		if e.im == im && sameOptions(e.opts, opts) {
+			return e.specs, e.rep, true
+		}
+	}
+	return nil, nil, false
+}
+
+// sameOptions compares every field of analysis.Options; the memo
+// tests set each field in turn by reflection, so a field added later
+// and not compared here fails them.
+func sameOptions(a, b analysis.Options) bool {
+	return slices.Equal(a.Entries, b.Entries) &&
+		slices.Equal(a.EntryLabels, b.EntryLabels) &&
+		a.VectorBase == b.VectorBase &&
+		a.Streams == b.Streams &&
+		a.NoVectors == b.NoVectors &&
+		a.WindowDepth == b.WindowDepth &&
+		slices.Equal(a.BusRanges, b.BusRanges) &&
+		a.BusTimeout == b.BusTimeout &&
+		a.ConstHints == b.ConstHints
 }
 
 // Coverage summarizes how much of a plan survived compilation.

@@ -33,7 +33,8 @@ import (
 //   - The compiled block table and its BlockStats: the table indexes a
 //     program-store version that Restore invalidates by construction
 //     (mem.Program.SetState bumps the version), so the restoring host
-//     re-plans and re-attaches if it wants fused execution. Session
+//     re-attaches if it wants fused execution (blockc.Attach reuses
+//     the image's plan and rebuilds only the table). Session
 //     statistics are engine observations, not machine state.
 //   - Observability (recorder, debugger, profiler) attachments: they
 //     belong to the host process, not the machine.
@@ -234,7 +235,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 //
 // Host attachments are intentionally reset: the debugger, profiler and
 // compiled block table detach (the program-store version advances, so a
-// stale table could not be trusted anyway — re-plan and re-attach), and
+// stale table could not be trusted anyway — re-attach), and
 // the flight recorder stays whatever the host set it to, since
 // recording is observation, not state.
 func (m *Machine) Restore(s *Snapshot) error {

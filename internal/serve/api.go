@@ -14,12 +14,14 @@ import (
 // memory.
 const maxBodyBytes = 16 << 20
 
-// apiError is the uniform JSON error body. Stack is set only for a
-// crashed session: the worker's stack at its panic.
+// apiError is the uniform JSON error body. Stack and PostMortem are
+// set only for a crashed session: the worker's stack at its panic and
+// the session's flight-recorder tail (CrashError).
 type apiError struct {
-	Schema string `json:"schema"`
-	Error  string `json:"error"`
-	Stack  string `json:"stack,omitempty"`
+	Schema     string `json:"schema"`
+	Error      string `json:"error"`
+	Stack      string `json:"stack,omitempty"`
+	PostMortem string `json:"post_mortem,omitempty"`
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -34,7 +36,7 @@ func writeErr(w http.ResponseWriter, err error) {
 	body := apiError{Schema: Schema, Error: err.Error()}
 	var crash *CrashError
 	if errors.As(err, &crash) {
-		body.Stack = crash.Stack
+		body.Stack, body.PostMortem = crash.Stack, crash.PostMortem
 	}
 	writeJSON(w, statusOf(err), body)
 }

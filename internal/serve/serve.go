@@ -26,8 +26,9 @@
 // one fails fast with ErrBusy (HTTP 429) instead of piling up. A
 // server being drained refuses new work with ErrDraining (HTTP 503)
 // while in-flight requests finish. A request that panics quarantines
-// only its own session: that session answers ErrCrashed (HTTP 500)
-// from then on, and the worker goes on serving the others.
+// only its own session: that session answers ErrCrashed (HTTP 500,
+// with the panic's stack and the session's flight-recorder tail) from
+// then on, and the worker goes on serving the others.
 //
 // # Determinism
 //
@@ -50,6 +51,7 @@ import (
 	"sort"
 	"sync"
 
+	"disc/internal/obs"
 	"disc/internal/snap"
 )
 
@@ -113,6 +115,9 @@ type CrashError struct {
 	ID    string // the quarantined session
 	Value string // the panic value
 	Stack string // the worker's stack at the panic
+	// PostMortem is the flight recorder's last events per stream at the
+	// panic; empty when the session records no metrics.
+	PostMortem string
 }
 
 func (e *CrashError) Error() string {
@@ -221,12 +226,21 @@ func (sess *Session) turn(t *task) (finished bool) {
 	}
 	defer func() {
 		if v := recover(); v != nil {
-			sess.crash = &CrashError{ID: sess.id, Value: fmt.Sprint(v), Stack: string(debug.Stack())}
+			sess.crash = &CrashError{ID: sess.id, Value: fmt.Sprint(v), Stack: string(debug.Stack()),
+				PostMortem: sess.postMortem()}
 			t.err = sess.crash
 			finished = true
 		}
 	}()
 	return t.run()
+}
+
+// postMortem reads the flight recorder's tail after a panic. The
+// machine may be inconsistent by then, so a panic while reading it
+// returns an empty tail instead of escaping the worker.
+func (sess *Session) postMortem() string {
+	defer func() { _ = recover() }()
+	return sess.m.PostMortem(obs.DefaultPostMortemEvents)
 }
 
 // Close stops the worker pool after the queued work drains. Requests

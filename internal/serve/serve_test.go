@@ -245,110 +245,148 @@ func TestBusyBackpressure(t *testing.T) {
 	}
 }
 
+// forkCases are the session kinds the fork tests cover: a plain
+// session, and a block-engine one whose twin re-attaches its table
+// from the parent's image (a memoized plan in internal/blockc).
+var forkCases = []struct {
+	name string
+	req  CreateRequest
+}{
+	{"plain", CreateRequest{Program: counterProgram, Streams: 1}},
+	{"block_engine", CreateRequest{Program: fusedProgram, Streams: 1, BlockEngine: true}},
+}
+
+// requireFused fails unless a block-engine session ran fused sessions;
+// a plain session must have no block table. It may run on any
+// goroutine.
+func requireFused(t *testing.T, s *Server, id string, block bool) {
+	t.Helper()
+	info, err := s.Inspect(id)
+	if err != nil {
+		t.Errorf("Inspect %s: %v", id, err)
+		return
+	}
+	if block != (info.Block != nil && info.Block.Sessions > 0) {
+		t.Errorf("session %s: block engine %v, block stats %+v", id, block, info.Block)
+	}
+}
+
 // TestForkByteIdenticalContinuation pins the fork contract: the twin's
 // snapshot equals the parent's at fork time, and stays byte-identical
 // to the parent's after both step the same number of cycles — the
 // disc-snap/1 canonical form makes state equality visible as byte
-// equality.
+// equality. A block-engine twin must also fuse.
 func TestForkByteIdenticalContinuation(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
+	for _, tc := range forkCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{})
+			defer s.Close()
 
-	parent := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1})
-	if _, err := s.Step(parent.ID, 1237); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	twin, err := s.Fork(parent.ID)
-	if err != nil {
-		t.Fatalf("Fork: %v", err)
-	}
-	if twin.Cycle != 1237 || twin.SteppedCycles != 1237 {
-		t.Fatalf("twin did not inherit the parent's position: %+v", twin)
-	}
+			parent := mustCreate(t, s, tc.req)
+			if _, err := s.Step(parent.ID, 1237); err != nil {
+				t.Fatalf("Step: %v", err)
+			}
+			twin, err := s.Fork(parent.ID)
+			if err != nil {
+				t.Fatalf("Fork: %v", err)
+			}
+			if twin.Cycle != 1237 || twin.SteppedCycles != 1237 {
+				t.Fatalf("twin did not inherit the parent's position: %+v", twin)
+			}
 
-	pb, err := s.SnapshotBytes(parent.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := s.SnapshotBytes(twin.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb, tb) {
-		t.Fatal("fork-time snapshots differ")
-	}
+			pb, err := s.SnapshotBytes(parent.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tb, err := s.SnapshotBytes(twin.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(pb, tb) {
+				t.Fatal("fork-time snapshots differ")
+			}
 
-	for _, id := range []string{parent.ID, twin.ID} {
-		if _, err := s.Step(id, 911); err != nil {
-			t.Fatalf("Step %s: %v", id, err)
-		}
-	}
-	pb2, _ := s.SnapshotBytes(parent.ID)
-	tb2, _ := s.SnapshotBytes(twin.ID)
-	if !bytes.Equal(pb2, tb2) {
-		t.Fatal("continuations diverged after 911 cycles")
-	}
-	if bytes.Equal(pb, pb2) {
-		t.Fatal("continuation snapshot did not change — machine not advancing")
+			for _, id := range []string{parent.ID, twin.ID} {
+				if _, err := s.Step(id, 911); err != nil {
+					t.Fatalf("Step %s: %v", id, err)
+				}
+			}
+			pb2, _ := s.SnapshotBytes(parent.ID)
+			tb2, _ := s.SnapshotBytes(twin.ID)
+			if !bytes.Equal(pb2, tb2) {
+				t.Fatal("continuations diverged after 911 cycles")
+			}
+			if bytes.Equal(pb, pb2) {
+				t.Fatal("continuation snapshot did not change — machine not advancing")
+			}
+			requireFused(t, s, twin.ID, tc.req.BlockEngine)
+		})
 	}
 }
 
 // TestConcurrentStepSnapshotFork is the race-detector proof that the
 // worker-ownership design keeps every machine single-threaded: many
 // sessions, interleaved step/snapshot/fork/inspect/list from many
-// goroutines, run under `make race`.
+// goroutines, run under `make race`. With the block engine, twins on
+// several workers attach from one image at once.
 func TestConcurrentStepSnapshotFork(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 1024})
-	defer s.Close()
+	for _, tc := range forkCases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: 4, QueueDepth: 1024})
+			defer s.Close()
 
-	const n = 8
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1}).ID
-	}
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		id := id
-		wg.Add(3)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				if _, err := s.Step(id, 200); err != nil && !errors.Is(err, ErrBusy) {
-					t.Errorf("Step %s: %v", id, err)
-				}
+			const n = 8
+			ids := make([]string, n)
+			for i := range ids {
+				ids[i] = mustCreate(t, s, tc.req).ID
 			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 10; j++ {
-				if _, err := s.SnapshotBytes(id); err != nil && !errors.Is(err, ErrBusy) {
-					t.Errorf("Snapshot %s: %v", id, err)
-				}
-				s.List()
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 5; j++ {
-				twin, err := s.Fork(id)
-				if err != nil {
-					if !errors.Is(err, ErrBusy) && !errors.Is(err, ErrSessionLimit) {
-						t.Errorf("Fork %s: %v", id, err)
+			var wg sync.WaitGroup
+			for _, id := range ids {
+				id := id
+				wg.Add(3)
+				go func() {
+					defer wg.Done()
+					for j := 0; j < 20; j++ {
+						if _, err := s.Step(id, 200); err != nil && !errors.Is(err, ErrBusy) {
+							t.Errorf("Step %s: %v", id, err)
+						}
 					}
-					continue
-				}
-				if _, err := s.Step(twin.ID, 100); err != nil && !errors.Is(err, ErrBusy) {
-					t.Errorf("Step twin %s: %v", twin.ID, err)
-				}
-				if err := s.Delete(twin.ID); err != nil {
-					t.Errorf("Delete twin %s: %v", twin.ID, err)
-				}
+				}()
+				go func() {
+					defer wg.Done()
+					for j := 0; j < 10; j++ {
+						if _, err := s.SnapshotBytes(id); err != nil && !errors.Is(err, ErrBusy) {
+							t.Errorf("Snapshot %s: %v", id, err)
+						}
+						s.List()
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					for j := 0; j < 5; j++ {
+						twin, err := s.Fork(id)
+						if err != nil {
+							if !errors.Is(err, ErrBusy) && !errors.Is(err, ErrSessionLimit) {
+								t.Errorf("Fork %s: %v", id, err)
+							}
+							continue
+						}
+						if _, err := s.Step(twin.ID, 100); err != nil && !errors.Is(err, ErrBusy) {
+							t.Errorf("Step twin %s: %v", twin.ID, err)
+						} else if err == nil {
+							requireFused(t, s, twin.ID, tc.req.BlockEngine)
+						}
+						if err := s.Delete(twin.ID); err != nil {
+							t.Errorf("Delete twin %s: %v", twin.ID, err)
+						}
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	if live := s.SessionsLive(); live != n {
-		t.Fatalf("%d sessions live after the storm, want %d", live, n)
+			wg.Wait()
+			if live := s.SessionsLive(); live != n {
+				t.Fatalf("%d sessions live after the storm, want %d", live, n)
+			}
+		})
 	}
 }
 

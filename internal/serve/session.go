@@ -356,8 +356,10 @@ func forkSession(id string, worker int, parent *Session, blob []byte, stepped ui
 		return nil, err
 	}
 	// Restore detaches any block table (the program-store version
-	// advanced); re-plan against the retained image, as DESIGN.md §14
-	// prescribes for restoring hosts.
+	// advanced); re-attach from the retained image, as DESIGN.md §14
+	// prescribes for restoring hosts. blockc memoizes the plan of
+	// (image, options), so this rebuilds only the table, against the
+	// twin's restored program store.
 	if parent.blockEngine && parent.im != nil {
 		blockc.Attach(m, parent.im, parent.blockOpts)
 	}

@@ -388,7 +388,8 @@ func TestDrainWaitsForInFlightStep(t *testing.T) {
 
 // TestPanicQuarantinesOnlyItsSession injects a panicking request: its
 // session is marked crashed and answers ErrCrashed (HTTP 500, with the
-// stack) for the request queued behind it and for every later
+// stack and, for a metrics session, its flight recorder's post-mortem)
+// for the request queued behind it and for every later
 // machine-touching request, Drain skips and reports it, and the same
 // worker goes on serving its other session.
 func TestPanicQuarantinesOnlyItsSession(t *testing.T) {
@@ -397,6 +398,7 @@ func TestPanicQuarantinesOnlyItsSession(t *testing.T) {
 	defer ts.Close()
 	a := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1})
 	b := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1})
+	c := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1, Metrics: true})
 	as := sessionOf(t, s, a.ID)
 
 	release, _ := hold(t, s, as)
@@ -415,8 +417,8 @@ func TestPanicQuarantinesOnlyItsSession(t *testing.T) {
 	<-boom.done
 	var crash *CrashError
 	if !errors.As(boom.err, &crash) || crash.ID != a.ID || crash.Value != "injected fault" ||
-		!strings.Contains(crash.Stack, "panic") {
-		t.Fatalf("panicking request answered %v, want the session's CrashError with its stack", boom.err)
+		!strings.Contains(crash.Stack, "panic") || crash.PostMortem != "" {
+		t.Fatalf("panicking request answered %+v, want the session's CrashError with its stack and no recorder tail", boom.err)
 	}
 	if err := <-behind; !errors.Is(err, ErrCrashed) {
 		t.Fatalf("step queued behind the panic: got %v, want ErrCrashed", err)
@@ -432,8 +434,26 @@ func TestPanicQuarantinesOnlyItsSession(t *testing.T) {
 	}
 	var body apiError
 	if code := httpJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions/"+a.ID+"/step", stepRequest{Cycles: 10}, &body); code != http.StatusInternalServerError ||
-		!strings.Contains(body.Error, "injected fault") || body.Stack == "" {
+		!strings.Contains(body.Error, "injected fault") || body.Stack == "" || body.PostMortem != "" {
 		t.Fatalf("HTTP step of a crashed session: %d %+v", code, body)
+	}
+
+	// A metrics session's crash carries its flight recorder's tail.
+	if _, err := s.Step(c.ID, 100); err != nil {
+		t.Fatal(err)
+	}
+	boomC := newTask(func() bool { panic("injected fault") })
+	if err := s.enqueue(sessionOf(t, s, c.ID), boomC, false); err != nil {
+		t.Fatal(err)
+	}
+	<-boomC.done
+	if !errors.As(boomC.err, &crash) || crash.ID != c.ID || !strings.Contains(crash.PostMortem, "post-mortem") {
+		t.Fatalf("metrics session's crash: %+v", boomC.err)
+	}
+	body = apiError{}
+	if code := httpJSON(t, ts.Client(), "GET", ts.URL+"/v1/sessions/"+c.ID, nil, &body); code != http.StatusInternalServerError ||
+		body.PostMortem != crash.PostMortem {
+		t.Fatalf("HTTP inspect of a crashed metrics session: %d %+v", code, body)
 	}
 
 	// The worker still serves the other session.
@@ -441,7 +461,8 @@ func TestPanicQuarantinesOnlyItsSession(t *testing.T) {
 		t.Fatalf("neighbour step after the crash: %+v %v", res, err)
 	}
 	ls := s.List()
-	if len(ls) != 2 || ls[0].Status != "crashed" || ls[1].Status != "running" || ls[1].Cycle != 1000 {
+	if len(ls) != 3 || ls[0].Status != "crashed" || ls[1].Status != "running" || ls[1].Cycle != 1000 ||
+		ls[2].Status != "crashed" {
 		t.Fatalf("listing: %+v", ls)
 	}
 
