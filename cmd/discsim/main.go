@@ -396,13 +396,12 @@ var flushSinks = func() error { return nil }
 
 // sigCode holds the conventional 128+signum exit status once a
 // SIGINT/SIGTERM has landed, 0 before. The run loop polls it between
-// guard dispatches — never mid-cycle — so the machine is always in a
+// Guard.StepN calls — never mid-cycle — so the machine is always in a
 // snapshottable state when the signal is acted on.
 var sigCode atomic.Int32
 
-// sigQuantum caps a single guard dispatch while signals are armed, so
-// a pending SIGINT is noticed within ~64K cycles even when the block
-// engine would happily fuse far longer sessions.
+// sigQuantum caps a single Guard.StepN call while signals are armed,
+// so a pending SIGINT is noticed within ~64K cycles of any run.
 const sigQuantum = 1 << 16
 
 // armSignals converts the first SIGINT/SIGTERM into a polled flag and
@@ -504,8 +503,9 @@ func boardRanges(ramWaits int) []analysis.BusRange {
 }
 
 // runSim drives every non-debug run — fixed-length (-cycles) and
-// until-idle alike — under the liveness guard, in chunks sized by the
-// checkpoint schedule and the signal-poll quantum.
+// until-idle alike — under the liveness guard: one Guard.StepN call per
+// chunk, the chunks sized by the checkpoint schedule and the
+// signal-poll quantum.
 //
 // With a checkpoint path a snapshot lands there — crash-atomically, so
 // the previous one survives a kill mid-write — every `every` cycles
@@ -519,7 +519,7 @@ func boardRanges(ramWaits int) []analysis.BusRange {
 // deadlock watchdog: a wedged program diagnosed mid-count stops there
 // with the diagnosis instead of silently spinning out the remainder.
 //
-// A SIGINT/SIGTERM polled between dispatches takes a final checkpoint,
+// A SIGINT/SIGTERM polled between chunks takes a final checkpoint,
 // flushes the observability sinks, and exits 130/143.
 func runSim(m *core.Machine, cycles, maxCycles int, stallWindow uint64, every int, path string) error {
 	save := func() {
@@ -531,12 +531,15 @@ func runSim(m *core.Machine, cycles, maxCycles int, stallWindow uint64, every in
 		}
 	}
 	g := m.NewGuard(stallWindow)
+	limit := maxCycles // 0: unlimited
+	if cycles > 0 {
+		limit = cycles
+	}
 	next := 0
 	if path != "" && every > 0 {
 		next = every
 	}
-	n := 0
-	for {
+	for n := 0; limit == 0 || n < limit; {
 		if code := sigCode.Load(); code != 0 {
 			save()
 			name := "SIGINT"
@@ -554,20 +557,12 @@ func runSim(m *core.Machine, cycles, maxCycles int, stallWindow uint64, every in
 			stopProfiles()
 			os.Exit(int(code))
 		}
-		budget := 1 << 30
-		if cycles > 0 {
-			budget = cycles - n
-		} else if maxCycles != 0 {
-			budget = maxCycles - n
+		budget := sigQuantum
+		if limit > 0 {
+			budget = min(budget, limit-n)
 		}
-		if budget <= 0 {
-			break
-		}
-		if next > 0 && next-n < budget {
-			budget = next - n
-		}
-		if budget > sigQuantum {
-			budget = sigQuantum
+		if next > 0 {
+			budget = min(budget, next-n)
 		}
 		k, done, err := g.StepN(budget)
 		n += k
@@ -586,7 +581,7 @@ func runSim(m *core.Machine, cycles, maxCycles int, stallWindow uint64, every in
 	}
 	save()
 	if cycles == 0 {
-		return &core.CycleLimitError{Limit: maxCycles, PostMortem: m.PostMortem(8)}
+		return &core.CycleLimitError{Limit: maxCycles, PostMortem: m.PostMortem(obs.DefaultPostMortemEvents)}
 	}
 	return nil
 }

@@ -16,7 +16,9 @@ import (
 )
 
 // Machine is a configured DISC1 processor. See core.Machine for the
-// full method set: Step/Run/RunUntilIdle, Stats, Bus, Internal memory,
+// full method set: Step, the driver loop (NewGuard(...).StepN runs a
+// whole cycle budget under the deadlock watchdog; Run, RunUntilIdle and
+// RunGuarded are the same loop), Stats, Bus, Internal memory,
 // per-stream windows and interrupt units, and PipeView for tracing.
 type Machine = core.Machine
 

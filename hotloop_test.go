@@ -55,13 +55,13 @@ func benchBlockSetup(tb testing.TB, p workload.Params, attach bool) *core.Machin
 
 // TestObsDisabledZeroAllocs pins the allocation contract of every
 // stepping engine on every Table 4.1 load: the optimized and reference
-// pipelines' Step, the block engine's StepBlock session dispatch and
-// the liveness Guard's StepN allocate nothing in steady state with
+// pipelines' Step and the liveness Guard's StepN, over a plain machine
+// and over fused block sessions, allocate nothing in steady state with
 // hooks nil — and Step allocates nothing either while a recorder is
 // attached (ring writes and metrics folds are in-place), so enabling
 // the flight recorder cannot start GC pressure.
 func TestObsDisabledZeroAllocs(t *testing.T) {
-	const window = 2000 // cycle cap per StepBlock / StepN dispatch
+	const window = 256 // cycles per StepN call
 	engines := []struct {
 		name  string
 		build func(testing.TB, workload.Params) func()
@@ -74,9 +74,13 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 			m := benchLoadMachine(tb, p, core.Config{Reference: true})
 			return func() { m.Step() }
 		}},
-		{"block-StepBlock", func(tb testing.TB, p workload.Params) func() {
-			m := benchBlockSetup(tb, p, true)
-			return func() { m.StepBlock(window) }
+		{"block-guard-StepN", func(tb testing.TB, p workload.Params) func() {
+			g := benchBlockSetup(tb, p, true).NewGuard(50_000)
+			return func() {
+				if _, done, err := g.StepN(window); done || err != nil {
+					tb.Errorf("StepN: done=%v err=%v on a load that never halts", done, err)
+				}
+			}
 		}},
 		{"guard-StepN", func(tb testing.TB, p workload.Params) func() {
 			g := benchLoadMachine(tb, p, core.Config{}).NewGuard(50_000) // discserve's stall window

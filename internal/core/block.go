@@ -300,7 +300,7 @@ func (m *Machine) SetBlockGate(on bool) { m.blockGateOff = !on }
 
 // SetBlockTable attaches a compiled block table (nil detaches) and
 // resets the per-region adaptive gates. The per-cycle engines are
-// unaffected; StepBlock, Run, RunUntilIdle and RunGuarded consult the
+// unaffected; Run, RunUntilIdle and the Guard consult the
 // table. Reset keeps the table attached — program memory survives
 // Reset, so the compiled regions stay valid — but re-arms the gates.
 func (m *Machine) SetBlockTable(t *BlockTable) {
@@ -453,21 +453,25 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 	return t
 }
 
-// StepBlock advances the machine by one dispatch: a fused session of
-// up to max cycles when a block table is attached and the machine
-// qualifies, or exactly one ordinary Step otherwise. It returns the
-// cycles advanced (always >= 1 for max >= 1). Callers that must
+// stepBlock advances the machine by one dispatch of at most max cycles
+// and returns the cycles advanced (always >= 1 for max >= 1). It is
+// the one dispatch rule every driver loop shares — Run, RunUntilIdle
+// and Guard.StepN: with a block table attached and more than one cycle
+// of budget left, a demoted region's parked skip batch is consumed one
+// plain cycle at a time without re-running the entry predicate, or a
+// fused session runs when the machine qualifies; every other dispatch
+// is one ordinary Step. A one-cycle budget never touches block state,
+// so Guard.Step drives the per-cycle machine exactly. Callers that must
 // observe the machine at a specific future cycle — stimulus schedules,
 // lockstep comparisons — bound max accordingly; a session never
 // advances past it (a fused branch only issues when its resolution
 // also fits the budget).
-func (m *Machine) StepBlock(max int) int {
-	if m.blocks != nil {
+func (m *Machine) stepBlock(max int) int {
+	if m.blocks != nil && max > 1 {
 		if m.blockSkip > 0 {
-			// A demoted region batch-consumed part of its probe backoff;
-			// step plainly without re-running the entry predicate. The
-			// batch is capped (gateSkipBatch) so a move into a different,
-			// promoted region is blind for a bounded stretch only.
+			// The batch is capped (gateSkipBatch) so a move into a
+			// different, promoted region is blind for a bounded stretch
+			// only.
 			m.blockSkip--
 		} else if n := m.blockSession(max); n > 0 {
 			return n
@@ -496,7 +500,7 @@ type ringSlot struct {
 // It returns 0 when the machine does not qualify (caller falls back to
 // Step) and the cycles advanced otherwise.
 // idleSkipBatch escalates the no-session-possible skip (readiness or
-// region-coverage reject) and arms StepBlock's fast path for the batch.
+// region-coverage reject) and arms stepBlock's fast path for the batch.
 // Batches at the ceiling are jittered by the cycle counter —
 // deterministic, so replay and lockstep equivalence are unaffected — to
 // keep the probe stride from phase-locking with a workload's loop
@@ -551,7 +555,7 @@ func (m *Machine) blockSession(max int) int {
 	// consult below repeats this check; pacing is heuristic either way.)
 	if !m.blockGateOff && m.gates != nil {
 		if g0 := &m.gates[t.index[p0]-1]; g0.demoted && g0.probeIn > 0 {
-			// Consume a bounded batch of the countdown and let StepBlock
+			// Consume a bounded batch of the countdown and let stepBlock
 			// skip the predicate for the remainder: same attempts-per-
 			// probe pacing, a fraction of the per-dispatch cost. The
 			// batch escalates across consecutive fast-outs (reset by any

@@ -11,7 +11,7 @@ import (
 )
 
 // Three-way differential proof for the block-compiled engine: a machine
-// advancing by fused sessions (StepBlock) must hold bit-identical
+// advancing by fused sessions (stepBlock) must hold bit-identical
 // architectural state to BOTH per-cycle pipelines — optimized and
 // reference — at every session boundary. Sessions are compared where
 // they end, never mid-flight, which is exactly the engine's contract:
@@ -63,7 +63,7 @@ func lockstep3(t *testing.T, fast, ref, blk *Machine, n int, stim map[int]func(m
 				break
 			}
 		}
-		adv := blk.StepBlock(next - c)
+		adv := blk.stepBlock(next - c)
 		for i := 0; i < adv; i++ {
 			fast.Step()
 			ref.Step()

@@ -224,7 +224,7 @@ type Machine struct {
 	// (SetBlockGate). blockTickBase is the fused-session device-tick
 	// watermark: the cycle up to which rest-state tickers have been
 	// caught up (bus.CatchUp) during the current session. blockSkip
-	// batches a demoted region's probe countdown: StepBlock steps plainly
+	// batches a demoted region's probe countdown: stepBlock steps plainly
 	// for that many dispatches without re-running the entry predicate.
 	// blockIdleSkip is the escalating skip for not-sole-ready rejects
 	// (see notSoleSkip0 in block.go).

@@ -2,7 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
+
+	"disc/internal/obs"
 )
 
 // This file adds machine-level liveness detection: a watchdog that
@@ -117,14 +120,15 @@ func (m *Machine) wedged() bool {
 }
 
 // Guard steps a machine while watching for progress. Build one with
-// NewGuard, then call Step until done or an error; the fault injector
-// and RunGuarded share this loop so diagnosis logic exists once.
+// NewGuard, then call StepN (or Step) until done or an error; RunGuarded,
+// discsim, discserve and the fault injector all drive this loop, so
+// diagnosis logic exists once.
 type Guard struct {
 	m       *Machine
 	window  uint64 // progress-free cycles that trigger the deadlock verdict
 	barren  uint64 // progress-free cycles seen so far
 	issued  uint64 // last observed issue counter
-	irWords uint64 // last observed IR-word fingerprint
+	irWords uint64 // IR-word fingerprint at the end of the last cycle
 }
 
 // NewGuard wraps m with a stall watchdog. A window of 0 disables the
@@ -152,56 +156,65 @@ func (g *Guard) Step() (done bool, err error) {
 	return done, err
 }
 
-// StepN advances one dispatch — a fused block session of up to max
-// cycles when a block table is attached and the machine qualifies, one
-// ordinary cycle otherwise — and returns the cycles covered. The
-// watchdog verdict is unaffected by fusion: a session issues
-// instructions (or starts a bus access) by construction, so it always
-// registers as progress, and a machine quiet enough to go barren never
-// qualifies for a session in the first place.
+// StepN advances up to max cycles and returns the cycles run. It stops
+// early, at the first cycle with a verdict: done when the machine went
+// cleanly idle, or a *DeadlockError. So one call covers a whole budget,
+// and any split of a budget into calls makes the same dispatches and
+// reaches the same verdict at the same cycle.
+//
+// Each dispatch follows stepBlock's rule, so with a block table
+// attached the loop advances by fused sessions and drains skip batches
+// in place. A dispatch that issued an instruction is progress, and only
+// the IR fingerprint is carried forward for the next cycle; a cycle
+// that issued nothing takes the full check. The watchdog counts those
+// barren cycles — always single cycles, since a fused session issues by
+// construction and a machine quiet enough to go barren never qualifies
+// for one.
 func (g *Guard) StepN(max int) (n int, done bool, err error) {
 	m := g.m
-	if max > 1 && m.blocks != nil {
-		n = m.StepBlock(max)
-	} else {
-		m.Step()
-		n = 1
-	}
-
-	progress := false
-	if m.stats.Issued != g.issued {
-		g.issued = m.stats.Issued
-		progress = true
-	}
-	if m.bus.Busy() {
-		progress = true
-	}
-	if f := m.irFingerprint(); f != g.irWords {
-		g.irWords = f
-		progress = true
-	}
-	for _, s := range m.streams {
-		// A counting-down stall is not a deadlock yet: the stream will
-		// thaw by itself when the period elapses.
-		if s.stallUntil > m.cycle {
-			progress = true
-			break
+	for n < max {
+		n += m.stepBlock(max - n)
+		if m.stats.Issued != g.issued {
+			g.issued = m.stats.Issued
+			g.irWords = m.irFingerprint()
+			g.barren = 0
+			continue
+		}
+		if g.progressed() {
+			g.barren = 0
+			continue
+		}
+		g.barren++
+		if m.Idle() && !m.wedged() {
+			return n, true, nil
+		}
+		if g.window > 0 && g.barren >= g.window {
+			return n, false, &DeadlockError{Cycle: m.cycle, Window: g.barren, Streams: m.Diagnose(),
+				PostMortem: m.PostMortem(obs.DefaultPostMortemEvents)}
 		}
 	}
-	if progress {
-		g.barren = 0
-		return n, false, nil
-	}
-	g.barren++
-
-	if m.Idle() && !m.wedged() {
-		return n, true, nil
-	}
-	if g.window > 0 && g.barren >= g.window {
-		return n, false, &DeadlockError{Cycle: m.cycle, Window: g.barren, Streams: m.Diagnose(),
-			PostMortem: m.PostMortem(postMortemEvents)}
-	}
 	return n, false, nil
+}
+
+// progressed reports whether a cycle that issued nothing still made
+// progress: the bus is moving an access, a stream's pending interrupt
+// word changed, or a stall is still counting down — the stream will
+// thaw by itself when the period elapses, so it is not a deadlock yet.
+func (g *Guard) progressed() bool {
+	m := g.m
+	if f := m.irFingerprint(); f != g.irWords {
+		g.irWords = f
+		return true
+	}
+	if m.bus.Busy() {
+		return true
+	}
+	for _, s := range m.streams {
+		if s.stallUntil > m.cycle {
+			return true
+		}
+	}
+	return false
 }
 
 // RunGuarded steps until the machine goes cleanly idle, a deadlock is
@@ -210,25 +223,13 @@ func (g *Guard) StepN(max int) (n int, done bool, err error) {
 // executed and a nil error, a *DeadlockError, or a *CycleLimitError.
 // With a block table attached the loop advances by fused sessions.
 func (m *Machine) RunGuarded(maxCycles int, stallWindow uint64) (int, error) {
-	g := m.NewGuard(stallWindow)
-	for n := 0; maxCycles == 0 || n < maxCycles; {
-		budget := 1 << 30
-		if maxCycles != 0 {
-			budget = maxCycles - n
-		}
-		k, done, err := g.StepN(budget)
-		n += k
-		if err != nil {
-			return n, err
-		}
-		if done {
-			return n, nil
-		}
+	budget := maxCycles
+	if budget == 0 {
+		budget = math.MaxInt
 	}
-	return maxCycles, &CycleLimitError{Limit: maxCycles, PostMortem: m.PostMortem(postMortemEvents)}
+	n, done, err := m.NewGuard(stallWindow).StepN(budget)
+	if done || err != nil {
+		return n, err
+	}
+	return n, &CycleLimitError{Limit: maxCycles, PostMortem: m.PostMortem(obs.DefaultPostMortemEvents)}
 }
-
-// postMortemEvents is how many trailing events per stream the guard
-// attaches to its error reports (obs.DefaultPostMortemEvents, restated
-// here so liveness reads standalone).
-const postMortemEvents = 8

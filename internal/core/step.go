@@ -193,35 +193,12 @@ func (m *Machine) verifyReadyMask() {
 }
 
 // Run executes n cycles, through fused block sessions when a compiled
-// block table is attached (SetBlockTable). The no-table path is the
-// plain per-cycle loop, untouched for benchmark comparability.
+// block table is attached (SetBlockTable). It is Guard.StepN's loop
+// without the watchdog: the same dispatch rule (stepBlock), and it runs
+// all n cycles even past idle.
 func (m *Machine) Run(n int) {
-	if m.blocks != nil {
-		for left := n; left > 0; {
-			if k := m.blockSkip; k > 0 {
-				// A demoted region parked a probe-backoff batch
-				// (blockSession); drain it in a tight plain loop identical
-				// to the no-table path. Observationally the same as k
-				// StepBlock calls — each would only decrement and Step —
-				// but without the per-cycle dispatch overhead, which is
-				// what keeps the engine at parity on loads that never
-				// fuse.
-				if k > uint32(left) {
-					k = uint32(left)
-				}
-				m.blockSkip -= k
-				left -= int(k)
-				for ; k > 0; k-- {
-					m.Step()
-				}
-				continue
-			}
-			left -= m.StepBlock(left)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		m.Step()
+	for n > 0 {
+		n -= m.stepBlock(n)
 	}
 }
 
@@ -232,19 +209,10 @@ func (m *Machine) Run(n int) {
 // dispatches observes the same first-idle cycle the per-cycle loop
 // would.
 func (m *Machine) RunUntilIdle(max int) (int, bool) {
-	if m.blocks != nil {
-		for done := 0; done < max; {
-			done += m.StepBlock(max - done)
-			if m.Idle() {
-				return done, true
-			}
-		}
-		return max, false
-	}
-	for i := 0; i < max; i++ {
-		m.Step()
+	for n := 0; n < max; {
+		n += m.stepBlock(max - n)
 		if m.Idle() {
-			return i + 1, true
+			return n, true
 		}
 	}
 	return max, false

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"disc/internal/core"
+	"disc/internal/obs"
 	"disc/internal/rng"
 )
 
@@ -122,5 +123,5 @@ func RunGuarded(m *core.Machine, maxCycles int, stallWindow uint64, inj ...Injec
 			return n + 1, nil
 		}
 	}
-	return maxCycles, &core.CycleLimitError{Limit: maxCycles, PostMortem: m.PostMortem(8)}
+	return maxCycles, &core.CycleLimitError{Limit: maxCycles, PostMortem: m.PostMortem(obs.DefaultPostMortemEvents)}
 }

@@ -59,8 +59,7 @@ import (
 // this many cycles of one session's step before it moves on to the
 // next session with queued work. 1<<15 cycles is about 0.5 ms on the
 // fused long-step program (DESIGN.md §15.1). A step of stepSlice
-// cycles or fewer runs in one turn and makes exactly the Guard.StepN
-// calls of an unsliced loop.
+// cycles or fewer runs in one turn, as one Guard.StepN call.
 const stepSlice = 1 << 15
 
 // Config sizes the server. The zero value selects the defaults.

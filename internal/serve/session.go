@@ -408,10 +408,11 @@ type StepResult struct {
 }
 
 // stepRun is one step request in progress on the session's worker.
-// Each turn runs at most stepSlice cycles of it. The guard calls, the
-// budget clamp and the result are those of one unsliced loop of max
-// cycles: between turns the machine is at rest, so slicing only
-// chooses where the worker may serve another session.
+// Each turn is one Guard.StepN call of at most stepSlice cycles. The
+// dispatches, the budget clamp and the result are those of one
+// unsliced StepN call of max cycles: between turns the machine is at
+// rest, so slicing only chooses where the worker may serve another
+// session.
 type stepRun struct {
 	sess *Session
 	max  int // cycles asked for, clamped to the budget on the first turn
@@ -436,14 +437,11 @@ func (st *stepRun) turn() bool {
 			st.max = int(rem)
 		}
 	}
-	end := min(st.n+stepSlice, st.max)
-	for st.n < end {
-		k, done, err := sess.g.StepN(end - st.n)
-		st.n += k
-		if err != nil || done {
-			st.res = sess.finishStep(st.n, done, err)
-			return true
-		}
+	k, done, err := sess.g.StepN(min(stepSlice, st.max-st.n))
+	st.n += k
+	if err != nil || done {
+		st.res = sess.finishStep(st.n, done, err)
+		return true
 	}
 	if st.n < st.max {
 		return false
