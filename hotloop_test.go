@@ -14,18 +14,24 @@ import (
 	"disc/internal/blockc"
 	"disc/internal/core"
 	"disc/internal/obs"
+	"disc/internal/rng"
 	"disc/internal/workload"
 	"disc/internal/xval"
 )
+
+// loadSeed derives load i's program seed, as discbench does. One seed
+// for every load would make load 2 an exact repeat of load 1: always
+// active, load 2 has load 1's mix.
+func loadSeed(i int) uint64 { return rng.Child(1991, uint64(i)) }
 
 // benchLoadMachine builds the standard 4-stream generated-program
 // machine for workload p. The two bursty loads run always-active
 // (program generation needs it); instruction mix, request spacing and
 // latencies are theirs.
-func benchLoadMachine(tb testing.TB, p workload.Params, cfg core.Config) *core.Machine {
+func benchLoadMachine(tb testing.TB, p workload.Params, seed uint64, cfg core.Config) *core.Machine {
 	tb.Helper()
 	p.MeanOn, p.MeanOff = 0, 0
-	m, err := xval.NewLoadMachine(p, 4, 1991, cfg)
+	m, err := xval.NewLoadMachine(p, 4, seed, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,10 +42,10 @@ func benchLoadMachine(tb testing.TB, p workload.Params, cfg core.Config) *core.M
 // an analysis-planned block table attached — the configuration where
 // the sole-ready session entry can actually fire. Multi-stream
 // interleave falls back to the per-cycle path by design (DESIGN.md §13).
-func benchBlockSetup(tb testing.TB, p workload.Params, attach bool) *core.Machine {
+func benchBlockSetup(tb testing.TB, p workload.Params, seed uint64, attach bool) *core.Machine {
 	tb.Helper()
 	p.MeanOn, p.MeanOff = 0, 0
-	setup, err := xval.NewLoadSetup(p, 1, 1991, core.Config{})
+	setup, err := xval.NewLoadSetup(p, 1, seed, core.Config{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -64,26 +70,26 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 	const window = 256 // cycles per StepN call
 	engines := []struct {
 		name  string
-		build func(testing.TB, workload.Params) func()
+		build func(testing.TB, workload.Params, uint64) func()
 	}{
-		{"optimized-Step", func(tb testing.TB, p workload.Params) func() {
-			m := benchLoadMachine(tb, p, core.Config{})
+		{"optimized-Step", func(tb testing.TB, p workload.Params, seed uint64) func() {
+			m := benchLoadMachine(tb, p, seed, core.Config{})
 			return func() { m.Step() }
 		}},
-		{"reference-Step", func(tb testing.TB, p workload.Params) func() {
-			m := benchLoadMachine(tb, p, core.Config{Reference: true})
+		{"reference-Step", func(tb testing.TB, p workload.Params, seed uint64) func() {
+			m := benchLoadMachine(tb, p, seed, core.Config{Reference: true})
 			return func() { m.Step() }
 		}},
-		{"block-guard-StepN", func(tb testing.TB, p workload.Params) func() {
-			g := benchBlockSetup(tb, p, true).NewGuard(50_000)
+		{"block-guard-StepN", func(tb testing.TB, p workload.Params, seed uint64) func() {
+			g := benchBlockSetup(tb, p, seed, true).NewGuard(50_000)
 			return func() {
 				if _, done, err := g.StepN(window); done || err != nil {
 					tb.Errorf("StepN: done=%v err=%v on a load that never halts", done, err)
 				}
 			}
 		}},
-		{"guard-StepN", func(tb testing.TB, p workload.Params) func() {
-			g := benchLoadMachine(tb, p, core.Config{}).NewGuard(50_000) // discserve's stall window
+		{"guard-StepN", func(tb testing.TB, p workload.Params, seed uint64) func() {
+			g := benchLoadMachine(tb, p, seed, core.Config{}).NewGuard(50_000) // discserve's stall window
 			return func() {
 				if _, done, err := g.StepN(window); done || err != nil {
 					tb.Errorf("StepN: done=%v err=%v on a load that never halts", done, err)
@@ -91,10 +97,10 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 			}
 		}},
 	}
-	for _, p := range workload.Base() {
+	for i, p := range workload.Base() {
 		for _, e := range engines {
 			t.Run(p.Name+"/"+e.name, func(t *testing.T) {
-				step := e.build(t, p)
+				step := e.build(t, p, loadSeed(i))
 				for i := 0; i < 64; i++ { // past the pipeline fill transient
 					step()
 				}
@@ -105,7 +111,7 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 		}
 	}
 
-	m := benchLoadMachine(t, workload.Ld1, core.Config{})
+	m := benchLoadMachine(t, workload.Ld1, loadSeed(0), core.Config{})
 	rec := obs.NewRecorder(1 << 12)
 	rec.EnableMetrics(4)
 	m.SetRecorder(rec)
@@ -126,8 +132,8 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 // name the subsystem that broke without any timing sensitivity.
 func TestBlockFusionCoverage(t *testing.T) {
 	const cycles = 2_000_000
-	for _, p := range workload.Base() {
-		m := benchBlockSetup(t, p, true)
+	for i, p := range workload.Base() {
+		m := benchBlockSetup(t, p, loadSeed(i), true)
 		m.Run(cycles)
 		bs := m.BlockStats()
 		share := float64(bs.FusedCycles) / float64(cycles)

@@ -324,6 +324,36 @@ func (b *Bus) Tick() (Completion, bool) {
 	return Completion{Req: r, Data: data}, true
 }
 
+// QuietTicks returns how many of the next Tick calls are certain to
+// return ok=false: the in-flight access neither completes nor exceeds
+// the bounded-wait budget before the Tick after them. An idle bus
+// reports 0 — there is no access to advance.
+func (b *Bus) QuietTicks() int {
+	if !b.busy {
+		return 0
+	}
+	// Completion is the Tick that takes remaining to 0; a timeout is
+	// the first Tick that leaves elapsed >= timeout with remaining > 0.
+	q := b.remaining - 1
+	if b.timeout > 0 {
+		q = min(q, b.timeout-b.elapsed-1)
+	}
+	return max(q, 0)
+}
+
+// SkipTicks advances the in-flight access by k bus cycles at once,
+// leaving the ABI exactly as k Tick calls that each returned ok=false
+// would. k must not exceed QuietTicks; the machine uses it to jump
+// over cycles in which nothing but the bus handshake moves.
+func (b *Bus) SkipTicks(k int) {
+	if k < 0 || k > b.QuietTicks() {
+		panic(fmt.Sprintf("bus: SkipTicks(%d) with %d quiet ticks left", k, b.QuietTicks()))
+	}
+	b.BusyCycles += uint64(k)
+	b.elapsed += k
+	b.remaining -= k
+}
+
 // TickDevices advances every attached device that keeps time.
 func (b *Bus) TickDevices() {
 	for _, t := range b.tickers {

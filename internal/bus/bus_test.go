@@ -470,3 +470,103 @@ func TestBusCatchUp(t *testing.T) {
 		t.Fatal("CatchUp must not call Tick")
 	}
 }
+
+// TestSkipTicksMatchesTick: QuietTicks is exactly the run of Ticks
+// that return ok=false, and SkipTicks(k) for any k up to it leaves the
+// ABI as k such Ticks do — statistics, handshake counters and State —
+// so the access completes or times out on the same later Tick, with
+// the same outcome, either way. The sweep covers every wait count,
+// pre-elapsed count and budget around the timeout edge (a budget of
+// elapsed+1 leaves no quiet tick), plus unmapped and idle buses.
+func TestSkipTicksMatchesTick(t *testing.T) {
+	type setup struct {
+		addr    uint16
+		wait    int
+		pre     int // Ticks before the budget is installed
+		timeout int
+	}
+	var cases []setup
+	for wait := 1; wait <= 9; wait++ {
+		for pre := 0; pre < wait; pre++ {
+			for _, to := range []int{0, 1, 2, pre, pre + 1, pre + 2, pre + 3, wait - 1, wait, wait + 1} {
+				cases = append(cases, setup{addr: 0x400, wait: wait, pre: pre, timeout: to})
+			}
+		}
+	}
+	cases = append(cases, setup{addr: 0x9999, wait: 1}, setup{addr: 0x9999, wait: 1, timeout: 1})
+
+	build := func(c setup) *Bus {
+		b := New()
+		ram := NewRAM("ext", 16, c.wait)
+		ram.Poke(3, 0xCAFE)
+		if err := b.Attach(0x400, 16, ram); err != nil {
+			t.Fatal(err)
+		}
+		if !b.Start(Request{Stream: 2, Addr: c.addr, Dest: 1}) {
+			t.Fatal("Start refused on an idle bus")
+		}
+		for i := 0; i < c.pre; i++ {
+			if _, ok := b.Tick(); ok {
+				t.Fatalf("%+v: setup Tick %d completed", c, i)
+			}
+		}
+		b.SetTimeout(c.timeout)
+		return b
+	}
+	// finish ticks b until the access ends and reports after how many
+	// Ticks and with what outcome.
+	finish := func(b *Bus) (int, Completion) {
+		for n := 1; ; n++ {
+			if c, ok := b.Tick(); ok {
+				return n, c
+			}
+			if n > 64 {
+				t.Fatal("access never ended")
+			}
+		}
+	}
+	for _, c := range cases {
+		q := build(c).QuietTicks()
+		// Tightness: exactly q Ticks return ok=false, the next ends it.
+		if n, _ := finish(build(c)); n != q+1 {
+			t.Fatalf("%+v: QuietTicks = %d, but the access ended on Tick %d", c, q, n)
+		}
+		for k := 0; k <= q; k++ {
+			ticked, skipped := build(c), build(c)
+			for i := 0; i < k; i++ {
+				ticked.Tick()
+			}
+			skipped.SkipTicks(k)
+			if ticked.BusyCycles != skipped.BusyCycles || ticked.elapsed != skipped.elapsed ||
+				ticked.remaining != skipped.remaining || ticked.State() != skipped.State() {
+				t.Fatalf("%+v: SkipTicks(%d) left %+v, %d Ticks left %+v", c, k, skipped.State(), k, ticked.State())
+			}
+			if got, want := skipped.QuietTicks(), q-k; got != want {
+				t.Fatalf("%+v: after SkipTicks(%d), QuietTicks = %d, want %d", c, k, got, want)
+			}
+			tn, tc := finish(ticked)
+			sn, sc := finish(skipped)
+			if tn != sn || tc.Data != sc.Data || tc.Req != sc.Req || (tc.Err == nil) != (sc.Err == nil) ||
+				(tc.Err != nil && tc.Err.Error() != sc.Err.Error()) || ticked.State() != skipped.State() {
+				t.Fatalf("%+v, k=%d: ticked ended after %d with %+v, skipped after %d with %+v", c, k, tn, tc, sn, sc)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%+v: SkipTicks(%d) past the quiet run did not panic", c, q+1)
+				}
+			}()
+			build(c).SkipTicks(q + 1)
+		}()
+	}
+
+	idle := New()
+	if q := idle.QuietTicks(); q != 0 {
+		t.Fatalf("idle bus reports %d quiet ticks", q)
+	}
+	idle.SkipTicks(0)
+	if idle.BusyCycles != 0 || idle.State() != (State{}) {
+		t.Fatalf("SkipTicks(0) on an idle bus moved it: %+v", idle.State())
+	}
+}

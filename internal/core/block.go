@@ -465,16 +465,26 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 // observe the machine at a specific future cycle — stimulus schedules,
 // lockstep comparisons — bound max accordingly; a session never
 // advances past it (a fused branch only issues when its resolution
-// also fits the budget).
+// also fits the budget), and neither does an idle gap.
+//
+// Ahead of both, with or without a table, a provably idle bus wait is
+// jumped in one dispatch (skipIdleGap): the cycles in which nothing but
+// the ABI handshake moves cost one arithmetic advance instead of one
+// Step each.
 func (m *Machine) stepBlock(max int) int {
-	if m.blocks != nil && max > 1 {
-		if m.blockSkip > 0 {
-			// The batch is capped (gateSkipBatch) so a move into a
-			// different, promoted region is blind for a bounded stretch
-			// only.
-			m.blockSkip--
-		} else if n := m.blockSession(max); n > 0 {
-			return n
+	if max > 1 {
+		if k := m.skipIdleGap(max); k > 0 {
+			return k
+		}
+		if m.blocks != nil {
+			if m.blockSkip > 0 {
+				// The batch is capped (gateSkipBatch) so a move into a
+				// different, promoted region is blind for a bounded
+				// stretch only.
+				m.blockSkip--
+			} else if n := m.blockSession(max); n > 0 {
+				return n
+			}
 		}
 	}
 	m.Step()
@@ -496,9 +506,6 @@ type ringSlot struct {
 	valid bool
 }
 
-// blockSession attempts one fused session of at most max cycles.
-// It returns 0 when the machine does not qualify (caller falls back to
-// Step) and the cycles advanced otherwise.
 // idleSkipBatch escalates the no-session-possible skip (readiness or
 // region-coverage reject) and arms stepBlock's fast path for the batch.
 // Batches at the ceiling are jittered by the cycle counter —
@@ -508,18 +515,53 @@ type ringSlot struct {
 // probe at the same loop offset and could miss a fusible region
 // forever (observed: a power-of-two ceiling collapsed session counts
 // three orders of magnitude on the periodic Table 4.1 mixes).
-func (m *Machine) idleSkipBatch() {
+// cycle is the dispatch's m.cycle (before its Step advances it).
+func (m *Machine) idleSkipBatch(cycle uint64) {
 	k := m.blockIdleSkip*2 + notSoleSkip0
 	if k >= notSoleSkipMax {
-		k = notSoleSkipMax - uint32(m.cycle)&63
+		k = notSoleSkipMax - uint32(cycle)&63
 	}
 	m.blockIdleSkip = k
 	m.blockSkip = k - 1
 }
 
+// sessionsOff reports the configurations in which no fused session
+// may run at all; blockSession rejects them before any bookkeeping.
+func (m *Machine) sessionsOff() bool {
+	return m.cfg.Reference || m.cfg.CheckReadiness || m.dbg != nil || m.profile != nil
+}
+
+// replayIdleDispatches applies the block-table bookkeeping that k
+// per-cycle dispatches over an idle gap would have made, so a jumped
+// gap leaves the skip batches — and with them every later session
+// probe — exactly where stepping would have. Dispatch i of the gap has
+// budget max-i and runs at cycle m.cycle+i: with more than one cycle
+// of budget it either drains one cycle of a parked skip batch or, no
+// stream being ready, takes blockSession's first reject and arms the
+// next escalating batch. Call it before m.cycle advances.
+func (m *Machine) replayIdleDispatches(max, k int) {
+	n := min(k, max-1) // a one-cycle budget never touches block state
+	for i := 0; i < n; {
+		if m.blockSkip > 0 {
+			d := min(int(m.blockSkip), n-i)
+			m.blockSkip -= uint32(d)
+			i += d
+			continue
+		}
+		if max-i < MinFuseLen || m.sessionsOff() {
+			return // blockSession rejects untouched; budgets only shrink
+		}
+		m.idleSkipBatch(m.cycle + uint64(i))
+		i++
+	}
+}
+
+// blockSession attempts one fused session of at most max cycles.
+// It returns 0 when the machine does not qualify (caller falls back to
+// Step) and the cycles advanced otherwise.
 func (m *Machine) blockSession(max int) int {
 	t := m.blocks
-	if max < MinFuseLen || m.cfg.Reference || m.cfg.CheckReadiness || m.dbg != nil || m.profile != nil {
+	if max < MinFuseLen || m.sessionsOff() {
 		return 0
 	}
 	// Fast reject on the cached ready mask and the region index before
@@ -532,7 +574,7 @@ func (m *Machine) blockSession(max int) int {
 	// a missed session, never a wrong outcome.
 	r0 := uint32(m.ready)
 	if r0 == 0 || r0&(r0-1) != 0 {
-		m.idleSkipBatch()
+		m.idleSkipBatch(m.cycle)
 		return 0
 	}
 	p0 := m.streams[bits.TrailingZeros32(r0)].pc
@@ -544,7 +586,7 @@ func (m *Machine) blockSession(max int) int {
 		// and the lookup itself is the dominant cost on loads that never
 		// fuse. Worst case a region entry is noticed one batch late — a
 		// missed session, never a wrong outcome.
-		m.idleSkipBatch()
+		m.idleSkipBatch(m.cycle)
 		return 0
 	}
 	m.blockIdleSkip = 0

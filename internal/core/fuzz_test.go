@@ -366,6 +366,20 @@ func FuzzStepEquiv(f *testing.F) {
 		BNE  in
 		BAL  spin
 	`))
+	// Bus-bound seed: one stream looping over the slow device, so the
+	// block machine's dispatches jump idle bus waits (skipIdleGap)
+	// between the fused stretches. SETMR keeps the random IRQ traffic
+	// pending instead of vectoring the stream off into the void.
+	f.Add(uint64(0x51EE), uint8(0), packWords(f, `
+		.org 0
+	top:	SETMR 0x01
+		LI   R1, 0x420
+		LD   R0, [R1+0]
+		ADDI R2, 1
+		ST   R2, [R1+1]
+		ADDI R3, 2
+		JMP  top
+	`))
 	f.Fuzz(func(t *testing.T, seed uint64, nstreams uint8, data []byte) {
 		if len(data) < 3 {
 			return
@@ -387,6 +401,11 @@ func FuzzStepEquiv(f *testing.F) {
 		vb := uint16(src.Intn(1 << 16))
 		fast, ref, blk := triple(t, Config{Streams: streams, VectorBase: vb}, func(m *Machine) {
 			if err := m.Bus().Attach(isa.ExternalBase, 32, bus.NewRAM("ext", 32, 2)); err != nil {
+				t.Fatal(err)
+			}
+			// A slow device: its waits outlast the pipe drain, so bus-
+			// bound programs leave idle gaps for the dispatch rule to jump.
+			if err := m.Bus().Attach(isa.ExternalBase+32, 32, bus.NewRAM("slow", 32, 12)); err != nil {
 				t.Fatal(err)
 			}
 			if err := m.LoadProgram(0, img); err != nil {

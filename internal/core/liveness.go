@@ -169,7 +169,9 @@ func (g *Guard) Step() (done bool, err error) {
 // that issued nothing takes the full check. The watchdog counts those
 // barren cycles — always single cycles, since a fused session issues by
 // construction and a machine quiet enough to go barren never qualifies
-// for one.
+// for one. A jumped idle gap issues nothing either, but its bus access
+// is still in flight when it ends, which is progress: the check resets
+// the count exactly as each of the gap's cycles would have.
 func (g *Guard) StepN(max int) (n int, done bool, err error) {
 	m := g.m
 	for n < max {

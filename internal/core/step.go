@@ -23,13 +23,17 @@ import (
 //  4. the scheduler picks a ready stream and the IF slot is filled,
 //     injecting a vectored interrupt entry when one is pending (§3.6.3).
 //
-// This is the simulator's only hot loop: every table in EXPERIMENTS.md
-// is tens of millions of calls to it. The fast path therefore avoids
-// recomputing anything a state transition could have maintained — the
-// ready mask is updated by the streams as they change state, device
-// ticks and bus advance are skipped when provably idle, and issue reads
-// the predecoded program store. Config.Reference selects the original
-// recompute-everything pipeline, kept as the equivalence oracle.
+// This is the simulator's per-cycle hot loop: every table in
+// EXPERIMENTS.md is tens of millions of calls to it. The fast path
+// therefore avoids recomputing anything a state transition could have
+// maintained — the ready mask is updated by the streams as they change
+// state, device ticks and bus advance are skipped when provably idle,
+// and issue reads the predecoded program store. Step itself always
+// advances exactly one cycle; the driver loops (Run, RunUntilIdle,
+// Guard.StepN) go through stepBlock, which jumps whole idle bus waits
+// (skipIdleGap) and fused block sessions instead of stepping them.
+// Config.Reference selects the original recompute-everything pipeline,
+// kept as the equivalence oracle.
 func (m *Machine) Step() {
 	if m.cfg.Reference {
 		m.stepReference()
@@ -205,9 +209,10 @@ func (m *Machine) Run(n int) {
 // RunUntilIdle steps until the machine is idle or max cycles elapse.
 // It returns the number of cycles executed and whether it went idle.
 // A fused session never spans an idle transition — the sole ready
-// stream issues on every session cycle — so checking between
-// dispatches observes the same first-idle cycle the per-cycle loop
-// would.
+// stream issues on every session cycle — and neither does a jumped
+// idle gap, whose bus access keeps the machine busy throughout, so
+// checking between dispatches observes the same first-idle cycle the
+// per-cycle loop would.
 func (m *Machine) RunUntilIdle(max int) (int, bool) {
 	for n := 0; n < max; {
 		n += m.stepBlock(max - n)
@@ -216,6 +221,70 @@ func (m *Machine) RunUntilIdle(max int) (int, bool) {
 		}
 	}
 	return max, false
+}
+
+// skipIdleGap advances the machine over a provably idle bus wait in
+// one jump of at most max cycles and returns the cycles advanced, or 0
+// when the machine does not qualify (the caller steps instead). A gap
+// qualifies when no stream is ready, the pipe is empty, no interrupt
+// unit was mutated behind the machine's back, the ABI is mid-access
+// and every time-keeping device is quiet: then each Step until the
+// access completes, times out, or a stall timer expires would tick the
+// bus without effect, find nothing to retire, execute or issue, and
+// count an idle slot. The jump lands on that exact state — including
+// the pipe slots the per-cycle shifts would have cleared and the block
+// engine's skip-batch bookkeeping — so the next dispatch cannot tell
+// the difference (DESIGN.md §10).
+func (m *Machine) skipIdleGap(max int) int {
+	if m.ready != 0 || m.cfg.Reference || m.cfg.CheckReadiness {
+		return 0
+	}
+	for i := range m.pipe {
+		if m.pipe[i].valid {
+			return 0
+		}
+	}
+	k := min(m.bus.QuietTicks(), max)
+	if k == 0 {
+		return 0
+	}
+	for i, s := range m.streams {
+		if s.intr.Version() != m.intrVer[i] {
+			return 0
+		}
+		// A stall expiring at cycle stallUntil refreshes readiness
+		// there: the gap must end the cycle before.
+		if m.stallMask&(1<<uint(i)) != 0 {
+			if s.stallUntil <= m.cycle+1 {
+				return 0
+			}
+			if d := s.stallUntil - m.cycle - 1; d < uint64(k) {
+				k = int(d)
+			}
+		}
+	}
+	if m.bus.NeedsTick() {
+		if !m.bus.Quiescent() {
+			return 0
+		}
+		m.bus.CatchUp(uint64(k))
+	}
+	if m.blocks != nil {
+		m.replayIdleDispatches(max, k)
+	}
+	m.bus.SkipTicks(k)
+	// k shifts: each rotates the ring base down one slot and clears the
+	// new IF slot, so the min(k, PipeDepth) slots below the base are
+	// zeroed — flushed slots keep stale fields until then, and
+	// snapshots serialize them.
+	for j := 1; j <= min(k, isa.PipeDepth); j++ {
+		m.pipe[(int(m.pipeBase)-j)&(isa.PipeDepth-1)] = slot{}
+	}
+	m.pipeBase = uint8((int(m.pipeBase) - k) & (isa.PipeDepth - 1))
+	m.sch.AdvanceIdle(k)
+	m.cycle += uint64(k)
+	m.stats.IdleCycles += uint64(k)
+	return k
 }
 
 // streamReady reports whether stream id can supply an instruction this
