@@ -32,7 +32,7 @@ race:
 # map-order iteration in the packages whose outputs must be
 # bit-identical run to run.
 detlint:
-	$(GO) run ./cmd/detlint internal/core internal/bus internal/interrupt internal/mem internal/isa internal/stackwin internal/sched internal/obs internal/parallel internal/stoch internal/rng internal/analysis internal/blockc internal/snap internal/serve internal/fault internal/xval internal/workload internal/baseline internal/tables internal/trace cmd/experiments
+	$(GO) run ./cmd/detlint internal/core internal/bus internal/interrupt internal/mem internal/isa internal/stackwin internal/sched internal/obs internal/parallel internal/stoch internal/rng internal/analysis internal/blockc internal/snap internal/serve internal/fault internal/xval internal/workload internal/baseline internal/tables internal/trace internal/minic internal/asm internal/asmlib internal/report internal/rt internal/study internal/prof cmd/experiments
 
 # discbench is its own module (replace disc => ../), so the root
 # `go build ./...` never compiles it; vet it here so an API change that

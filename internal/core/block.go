@@ -633,14 +633,12 @@ func (m *Machine) blockSession(max int) int {
 	if m.stallMask != 0 || m.bus.Busy() || (m.bus.NeedsTick() && !m.bus.Quiescent()) {
 		return 0
 	}
-	// Replicate Step's interrupt-version sweep so the ready mask is
-	// exact before the session trusts it (raw *interrupt.Unit handles
-	// can be mutated between dispatches without a machine-side hook).
-	for i, st := range m.streams {
-		if v := st.intr.Version(); v != m.intrVer[i] {
-			m.intrVer[i] = v
-			m.refreshReady(i)
-		}
+	// Run Step's interrupt sweep when the epoch moved so the ready mask
+	// is exact before the session trusts it (raw *interrupt.Unit
+	// handles can be mutated between dispatches without a machine-side
+	// hook).
+	if m.intrEpoch != m.intrSeen {
+		m.sweepIntr()
 	}
 	r := uint32(m.ready)
 	if r == 0 || r&(r-1) != 0 {

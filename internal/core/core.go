@@ -199,12 +199,17 @@ type Machine struct {
 	// ready is the incrementally maintained scheduler input: bit i is
 	// set exactly when streamReady(i) holds. Streams flip their bit on
 	// state transitions (refreshReady) instead of Step recomputing all
-	// streams every cycle; two cheap per-cycle sweeps cover the inputs
+	// streams every cycle; two cheap per-cycle checks cover the inputs
 	// that change without a machine-side hook (stall timers expiring
 	// with the clock, interrupt units mutated through raw handles).
+	// intrEpoch is shared by every stream's interrupt unit and advances
+	// on each of their mutations; intrSeen is its value at the last
+	// full sweep, so intrEpoch == intrSeen proves every intrVer current.
 	ready     sched.ReadyMask
 	stallMask uint32                 // streams with a live stall timer
 	intrVer   [isa.NumStreams]uint32 // last swept interrupt.Unit versions
+	intrEpoch uint32                 // mutations of any stream's unit
+	intrSeen  uint32                 // intrEpoch at the last sweepIntr
 	statsBase uint64                 // cycle count at the last ResetStats
 
 	// rec is the flight recorder; nil when tracing is off. Every emit
@@ -279,7 +284,7 @@ func New(cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := &stream{win: w, intr: interrupt.New(), vb: cfg.VectorBase}
+		st := &stream{win: w, intr: interrupt.NewShared(&m.intrEpoch), vb: cfg.VectorBase}
 		st.dispVer = st.intr.Version() - 1 // force the first issue to compute
 		m.streams = append(m.streams, st)
 	}
@@ -538,5 +543,6 @@ func (m *Machine) Reset() {
 		m.intrVer[i] = m.streams[i].intr.Version()
 		m.refreshReady(i)
 	}
+	m.intrSeen = m.intrEpoch
 	m.ResetStats()
 }

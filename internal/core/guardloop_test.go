@@ -262,6 +262,27 @@ main:
     HALT
 `
 
+// quietWrites rewrites interrupt state without changing any IR word,
+// at every 37th cycle from 10 to end: stream 1's mask, stream 0's
+// level, and stream 0's IR written back as it stands. Each write
+// advances the machine's interrupt epoch, none is progress, so a wedge
+// must still be diagnosed exactly one window after its last real
+// progress.
+func quietWrites(end int) stim {
+	st := stim{}
+	for c, i := 10, 0; c < end; c, i = c+37, i+1 {
+		switch i % 3 {
+		case 0:
+			st[c] = func(m *core.Machine) { m.Interrupts(1).SetMR(uint8(0x0F << (i % 5))) }
+		case 1:
+			st[c] = func(m *core.Machine) { m.Interrupts(0).SetLevel(uint8(i % 8)) }
+		default:
+			st[c] = func(m *core.Machine) { u := m.Interrupts(0); u.SetIR(u.IR()) }
+		}
+	}
+	return st
+}
+
 func guardCases() []loopCase {
 	cases := []loopCase{
 		{name: "clean-halt", window: 50, budget: 1000,
@@ -282,6 +303,9 @@ func guardCases() []loopCase {
 				0: func(m *core.Machine) { m.Interrupts(1).SetMR(0) },
 				4: func(m *core.Machine) { m.RaiseIRQ(1, 5) },
 			}},
+		{name: "quiet-writes", window: 100, budget: 10_000,
+			build: program(2, waitDeadlock, map[int]string{0: "main", 1: "other"}),
+			stim:  quietWrites(1000)},
 		{name: "storm-join", window: 100, budget: 6000,
 			build: program(2, joinLoop, map[int]string{0: "main"}),
 			stim: storm(storm(stim{0: func(m *core.Machine) { m.Interrupts(1).SetMR(0) }},
@@ -314,7 +338,9 @@ func guardCases() []loopCase {
 
 // guardGolden holds each case's per-cycle outcome and each load's
 // block statistics, recorded with the guard loop that did one dispatch
-// per StepN call and left re-dispatching to its callers.
+// per StepN call and left re-dispatching to its callers; quiet-writes
+// was recorded with the guard that recomputed the IR fingerprint every
+// cycle, before the interrupt epoch gated it.
 var guardGolden = map[string]string{
 	"clean-halt":                 "cycles=7 done snap=ec07d2c6a2f7cb0e",
 	"waiti-deadlock":             "cycles=104 deadlock cycle=104 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0000 IS1 halted] snap=8e114590b2966b72",
@@ -322,6 +348,7 @@ var guardGolden = map[string]string{
 	"stall-countdown":            "cycles=506 done snap=16c4f516d402de7d",
 	"stall-deadlock":             "cycles=439 deadlock cycle=439 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0000 IS1 halted] snap=99b286897bcc797a",
 	"ir-on-issue":                "cycles=72 deadlock cycle=72 window=64 streams=[IS0 waiting on IR bit 2 at pc=0x0006 IS1 halted] snap=59feefe3db3c562b",
+	"quiet-writes":               "cycles=104 deadlock cycle=104 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0000 IS1 halted] snap=cb441a65797ada00",
 	"storm-join":                 "cycles=3101 deadlock cycle=3101 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0001 IS1 halted] snap=624dbf2d4190f3d2",
 	"load1/1stream":              "cycles=8000 running snap=aab201ca4a1765e0",
 	"load1/1stream/block":        "cycles=8000 running snap=aab201ca4a1765e0",

@@ -129,12 +129,13 @@ type Guard struct {
 	barren  uint64 // progress-free cycles seen so far
 	issued  uint64 // last observed issue counter
 	irWords uint64 // IR-word fingerprint at the end of the last cycle
+	epoch   uint32 // machine's interrupt epoch when irWords was taken
 }
 
 // NewGuard wraps m with a stall watchdog. A window of 0 disables the
 // watchdog (only explicit cycle limits apply then).
 func (m *Machine) NewGuard(window uint64) *Guard {
-	return &Guard{m: m, window: window, issued: m.stats.Issued, irWords: m.irFingerprint()}
+	return &Guard{m: m, window: window, issued: m.stats.Issued, irWords: m.irFingerprint(), epoch: m.intrEpoch}
 }
 
 // irFingerprint folds every stream's pending-interrupt word into one
@@ -165,11 +166,12 @@ func (g *Guard) Step() (done bool, err error) {
 // Each dispatch follows stepBlock's rule, so with a block table
 // attached the loop advances by fused sessions and drains skip batches
 // in place. A dispatch that issued an instruction is progress, and only
-// the IR fingerprint is carried forward for the next cycle; a cycle
-// that issued nothing takes the full check. The watchdog counts those
-// barren cycles — always single cycles, since a fused session issues by
-// construction and a machine quiet enough to go barren never qualifies
-// for one. A jumped idle gap issues nothing either, but its bus access
+// the IR fingerprint is carried forward for the next cycle, recomputed
+// only when the machine's interrupt epoch moved (no IR word changes
+// without a unit mutation); a cycle that issued nothing takes the full
+// check. The watchdog counts those barren cycles — always single
+// cycles, since a fused session issues by construction and a machine
+// quiet enough to go barren never qualifies for one. A jumped idle gap issues nothing either, but its bus access
 // is still in flight when it ends, which is progress: the check resets
 // the count exactly as each of the gap's cycles would have.
 func (g *Guard) StepN(max int) (n int, done bool, err error) {
@@ -178,7 +180,10 @@ func (g *Guard) StepN(max int) (n int, done bool, err error) {
 		n += m.stepBlock(max - n)
 		if m.stats.Issued != g.issued {
 			g.issued = m.stats.Issued
-			g.irWords = m.irFingerprint()
+			if m.intrEpoch != g.epoch {
+				g.epoch = m.intrEpoch
+				g.irWords = m.irFingerprint()
+			}
 			g.barren = 0
 			continue
 		}
@@ -202,11 +207,16 @@ func (g *Guard) StepN(max int) (n int, done bool, err error) {
 // progress: the bus is moving an access, a stream's pending interrupt
 // word changed, or a stall is still counting down — the stream will
 // thaw by itself when the period elapses, so it is not a deadlock yet.
+// The epoch only says whether to look: a mask- or level-only write
+// moves it without changing any IR word, and is not progress.
 func (g *Guard) progressed() bool {
 	m := g.m
-	if f := m.irFingerprint(); f != g.irWords {
-		g.irWords = f
-		return true
+	if m.intrEpoch != g.epoch {
+		g.epoch = m.intrEpoch
+		if f := m.irFingerprint(); f != g.irWords {
+			g.irWords = f
+			return true
+		}
 	}
 	if m.bus.Busy() {
 		return true

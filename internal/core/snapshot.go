@@ -348,6 +348,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		m.intrVer[i] = st.intr.Version()
 		m.refreshReady(i)
 	}
+	m.intrSeen = m.intrEpoch
 	return nil
 }
 

@@ -53,15 +53,14 @@ func (m *Machine) Step() {
 	// Two sweeps repair the ready bits no machine-side hook covers:
 	// stall timers expire by the clock advancing, and interrupt units
 	// can be mutated through raw *interrupt.Unit handles (devices,
-	// tests, the rt harness) without the machine seeing a call.
+	// tests, the rt harness) without the machine seeing a call. Every
+	// unit mutation advances the shared epoch, so the interrupt sweep
+	// runs only on cycles after one happened, not every cycle.
 	if m.stallMask != 0 {
 		m.sweepStalls()
 	}
-	for i, s := range m.streams {
-		if v := s.intr.Version(); v != m.intrVer[i] {
-			m.intrVer[i] = v
-			m.refreshReady(i)
-		}
+	if m.intrEpoch != m.intrSeen {
+		m.sweepIntr()
 	}
 	if m.cfg.CheckReadiness {
 		m.verifyReadyMask()
@@ -99,13 +98,16 @@ func (m *Machine) Step() {
 		// raise bits, which never unready a stream, and land in other
 		// streams' version counters for next cycle's sweep. Refreshing
 		// just the executing stream, and only when one of its readiness
-		// inputs (state, shadow depth, interrupt state) actually moved,
+		// inputs (state, shadow depth, interrupt state) may have moved,
 		// keeps the live check below exact; stallUntil is excluded
 		// because execute never stalls — StallStream refreshes itself.
+		// The interrupt test reads the machine-wide epoch, so a SIGNAL
+		// to another stream also refreshes this one: a recompute, so
+		// harmless.
 		exs := m.streams[ex.stream]
-		preState, preShadow, preVer := exs.state, exs.branchShadow, exs.intr.Version()
+		preState, preShadow, preEpoch := exs.state, exs.branchShadow, m.intrEpoch
 		m.execute(ex)
-		if exs.state != preState || exs.branchShadow != preShadow || exs.intr.Version() != preVer {
+		if exs.state != preState || exs.branchShadow != preShadow || m.intrEpoch != preEpoch {
 			m.refreshReady(int(ex.stream))
 		}
 	}
@@ -184,6 +186,19 @@ func (m *Machine) sweepStalls() {
 	}
 }
 
+// sweepIntr refreshes the ready bit of every stream whose interrupt
+// unit moved since the last sweep and records the epoch it has now
+// seen. Step and the block session call it only when the epoch moved.
+func (m *Machine) sweepIntr() {
+	for i, s := range m.streams {
+		if v := s.intr.Version(); v != m.intrVer[i] {
+			m.intrVer[i] = v
+			m.refreshReady(i)
+		}
+	}
+	m.intrSeen = m.intrEpoch
+}
+
 // verifyReadyMask is the retained recompute path behind a debug check
 // (Config.CheckReadiness): it proves the incremental mask equals a full
 // per-stream recomputation at the top of the cycle.
@@ -248,10 +263,10 @@ func (m *Machine) skipIdleGap(max int) int {
 	if k == 0 {
 		return 0
 	}
+	if m.intrEpoch != m.intrSeen {
+		return 0
+	}
 	for i, s := range m.streams {
-		if s.intr.Version() != m.intrVer[i] {
-			return 0
-		}
 		// A stall expiring at cycle stallUntil refreshes readiness
 		// there: the gap must end the cycle before.
 		if m.stallMask&(1<<uint(i)) != 0 {
@@ -314,7 +329,8 @@ func (m *Machine) streamReady(id int) bool {
 	return s.intr.Active()
 }
 
-// issue fills the IF slot from stream id.
+// issue fills the IF slot from stream id. The caller has just cleared
+// that slot (the shift), so issue writes only the fields it sets.
 func (m *Machine) issue(id int) {
 	s := m.streams[id]
 	m.seq++
@@ -342,7 +358,9 @@ func (m *Machine) issue(id int) {
 			s.entryInFlight = true
 			s.dispatches++
 			m.stats.Dispatches++
-			*m.stage(0) = slot{valid: true, stream: uint8(id), pc: s.pc, kind: kindIntEntry, bit: bit, retPC: retPC}
+			sl := m.stage(0)
+			sl.valid, sl.stream, sl.pc = true, uint8(id), s.pc
+			sl.kind, sl.bit, sl.retPC = kindIntEntry, bit, retPC
 			s.issued++
 			m.stats.Issued++
 			if m.rec != nil {
@@ -392,7 +410,11 @@ func (m *Machine) issue(id int) {
 		m.stats.IllegalInstr++
 	}
 	s.pc = pc + 1
-	*m.stage(0) = slot{valid: true, stream: uint8(id), pc: pc, instr: in, kind: kindInstr, shadow: shadow}
+	// Fill the IF slot the shift just cleared in place: building a
+	// slot literal and copying it in stalls on store forwarding.
+	sl := m.stage(0)
+	sl.instr = in
+	sl.valid, sl.stream, sl.pc, sl.kind, sl.shadow = true, uint8(id), pc, kindInstr, shadow
 	if m.rec != nil {
 		m.rec.Emit(obs.Event{Cycle: m.cycle, Kind: obs.KindIssue,
 			Stream: int8(id), PC: pc})

@@ -45,6 +45,11 @@ type Unit struct {
 	mr    uint8
 	level uint8 // 0 = background, 1..7 = servicing that vectored level
 	ver   uint32
+	// epoch, when set, is a counter shared by a group of units (one
+	// machine's streams): every mutation of any unit in the group
+	// advances it, so the owner can tell "nothing moved anywhere" with
+	// one compare instead of polling each unit's version.
+	epoch *uint32
 
 	// Observability hooks (nil when tracing is off — the only cost then
 	// is one predictable nil check per mutation, never per cycle).
@@ -56,6 +61,20 @@ type Unit struct {
 
 // New returns a Unit with all requests clear and all levels unmasked.
 func New() *Unit { return &Unit{mr: 0xFF} }
+
+// NewShared is New with the unit's mutations also counted in *epoch,
+// a counter the caller shares among several units. epoch advances
+// exactly when Version does, whichever unit of the group moved.
+func NewShared(epoch *uint32) *Unit { return &Unit{mr: 0xFF, epoch: epoch} }
+
+// bump records one mutation: the unit's version and, when the unit is
+// shared, the group's epoch.
+func (u *Unit) bump() {
+	u.ver++
+	if u.epoch != nil {
+		*u.epoch++
+	}
+}
 
 // SetObserver installs (or, with nils, removes) the unit's event
 // hooks: raise fires after every successful Request — wasInactive
@@ -76,11 +95,13 @@ func (u *Unit) SetObserver(raise func(bit uint8, wasInactive bool), ack func(bit
 // actually moved, instead of polling IR/MR/level every cycle — and
 // because every mutation path bumps the counter, even code that holds
 // a raw *Unit (tests, the rt measurement harness, external device
-// glue) cannot leave the scheduler with a stale view.
+// glue) cannot leave the scheduler with a stale view. A unit built
+// with NewShared advances its group's epoch on exactly the same
+// mutations, so the machine checks one epoch before any version.
 func (u *Unit) Version() uint32 { return u.ver }
 
 // Reset restores power-on state (ir=0: stream halted; mr=0xFF).
-func (u *Unit) Reset() { u.ir, u.mr, u.level = 0, 0xFF, 0; u.ver++ }
+func (u *Unit) Reset() { u.ir, u.mr, u.level = 0, 0xFF, 0; u.bump() }
 
 // IR returns the interrupt request register.
 func (u *Unit) IR() uint8 { return u.ir }
@@ -90,16 +111,16 @@ func (u *Unit) MR() uint8 { return u.mr }
 
 // SetIR overwrites the request register (MTS IR; also used at reset by
 // the loader to start stream 0 at the background level).
-func (u *Unit) SetIR(v uint8) { u.ir = v; u.ver++ }
+func (u *Unit) SetIR(v uint8) { u.ir = v; u.bump() }
 
 // SetMR overwrites the mask register (SETMR / MTS MR).
-func (u *Unit) SetMR(v uint8) { u.mr = v; u.ver++ }
+func (u *Unit) SetMR(v uint8) { u.mr = v; u.bump() }
 
 // Level returns the level the stream is currently executing at.
 func (u *Unit) Level() uint8 { return u.level }
 
 // SetLevel restores a saved level (the SR write-back in RETI).
-func (u *Unit) SetLevel(l uint8) { u.level = l & 0x7; u.ver++ }
+func (u *Unit) SetLevel(l uint8) { u.level = l & 0x7; u.bump() }
 
 // State is the serializable register content of a Unit: the request
 // and mask registers plus the current execution level. The version
@@ -124,7 +145,7 @@ func (u *Unit) SetState(s State) {
 	u.ir = s.IR
 	u.mr = s.MR
 	u.level = s.Level & 0x7
-	u.ver++
+	u.bump()
 }
 
 // Request sets request bit n. It reports whether the stream was
@@ -135,7 +156,7 @@ func (u *Unit) Request(n uint8) (wasInactive bool, err error) {
 	}
 	wasInactive = !u.Active()
 	u.ir |= 1 << n
-	u.ver++
+	u.bump()
 	if u.onRaise != nil {
 		u.onRaise(n, wasInactive)
 	}
@@ -149,7 +170,7 @@ func (u *Unit) Clear(n uint8) error {
 	}
 	wasSet := u.ir&(1<<n) != 0
 	u.ir &^= 1 << n
-	u.ver++
+	u.bump()
 	if wasSet && u.onAck != nil {
 		u.onAck(n)
 	}
@@ -195,7 +216,7 @@ func (u *Unit) Dispatch() (bit uint8, ok bool) {
 func (u *Unit) Enter(bit uint8) (prev uint8) {
 	prev = u.level
 	u.level = bit & 0x7
-	u.ver++
+	u.bump()
 	return prev
 }
 
@@ -211,7 +232,7 @@ func (u *Unit) Exit(savedLevel uint8) {
 		}
 	}
 	u.level = savedLevel & 0x7
-	u.ver++
+	u.bump()
 }
 
 // Vector returns the program-memory address of the handler for the

@@ -3,6 +3,8 @@ package interrupt
 import (
 	"testing"
 	"testing/quick"
+
+	"disc/internal/rng"
 )
 
 func TestInactiveAtReset(t *testing.T) {
@@ -198,5 +200,92 @@ func TestHighestMatchesPendingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// unitOp is one method call on a Unit; mutates says whether it must
+// advance Version.
+type unitOp struct {
+	name    string
+	mutates bool
+	call    func(u *Unit)
+}
+
+func unitOps() []unitOp {
+	return []unitOp{
+		{"Request", true, func(u *Unit) { u.Request(3) }},
+		{"Request(background)", true, func(u *Unit) { u.Request(Background) }},
+		{"Request(out of range)", false, func(u *Unit) { u.Request(8) }},
+		{"Clear", true, func(u *Unit) { u.Clear(3) }},
+		{"Clear(unset bit)", true, func(u *Unit) { u.Clear(7) }},
+		{"Clear(out of range)", false, func(u *Unit) { u.Clear(8) }},
+		{"SetIR", true, func(u *Unit) { u.SetIR(0x25) }},
+		{"SetIR(same value)", true, func(u *Unit) { u.SetIR(u.IR()) }},
+		{"SetMR", true, func(u *Unit) { u.SetMR(0xF3) }},
+		{"SetMR(same value)", true, func(u *Unit) { u.SetMR(u.MR()) }},
+		{"SetLevel", true, func(u *Unit) { u.SetLevel(4) }},
+		{"Enter", true, func(u *Unit) { u.Enter(5) }},
+		{"Exit", true, func(u *Unit) { u.Exit(Background) }},
+		{"Reset", true, func(u *Unit) { u.Reset() }},
+		{"SetState", true, func(u *Unit) { u.SetState(State{IR: 0x81, MR: 0x7F, Level: 2}) }},
+		{"SetObserver", false, func(u *Unit) { u.SetObserver(nil, nil) }},
+		{"IR", false, func(u *Unit) { u.IR() }},
+		{"MR", false, func(u *Unit) { u.MR() }},
+		{"Level", false, func(u *Unit) { u.Level() }},
+		{"Pending", false, func(u *Unit) { u.Pending() }},
+		{"Active", false, func(u *Unit) { u.Active() }},
+		{"Test", false, func(u *Unit) { u.Test(3) }},
+		{"Highest", false, func(u *Unit) { u.Highest() }},
+		{"Dispatch", false, func(u *Unit) { u.Dispatch() }},
+		{"State", false, func(u *Unit) { u.State() }},
+		{"Version", false, func(u *Unit) { u.Version() }},
+	}
+}
+
+// TestSharedEpochContract pins what the machine relies on when it
+// checks one epoch instead of every unit's version: on a group of units
+// sharing a counter, every call advances the counter exactly when it
+// advances that unit's Version (by the same amount), read-only calls
+// move neither, and the other unit's version never moves. An unshared
+// twin driven through the same calls ends in the same registers and
+// versions, so sharing changes nothing a unit reports.
+func TestSharedEpochContract(t *testing.T) {
+	var epoch uint32
+	units := [2]*Unit{NewShared(&epoch), NewShared(&epoch)}
+	twins := [2]*Unit{New(), New()}
+	ops := unitOps()
+	step := func(k int, op unitOp) {
+		t.Helper()
+		u, other := units[k], units[1-k]
+		v0, o0, e0 := u.Version(), other.Version(), epoch
+		op.call(u)
+		op.call(twins[k])
+		dv, de := u.Version()-v0, epoch-e0
+		if de != dv {
+			t.Fatalf("%s on unit %d: epoch moved %d, version moved %d", op.name, k, de, dv)
+		}
+		if op.mutates != (dv == 1) || dv > 1 {
+			t.Fatalf("%s on unit %d: version moved %d, want mutation=%v", op.name, k, dv, op.mutates)
+		}
+		if other.Version() != o0 {
+			t.Fatalf("%s on unit %d moved the other unit's version", op.name, k)
+		}
+		for i := range units {
+			if units[i].State() != twins[i].State() || units[i].Version() != twins[i].Version() {
+				t.Fatalf("%s on unit %d: shared unit %d = %+v v%d, unshared twin = %+v v%d", op.name, k, i,
+					units[i].State(), units[i].Version(), twins[i].State(), twins[i].Version())
+			}
+		}
+	}
+	// Every method on either unit, then a seeded sequence so each call
+	// also runs from states the fixed order never reaches.
+	for k := range units {
+		for _, op := range ops {
+			step(k, op)
+		}
+	}
+	src := rng.New(0xE90C)
+	for i := 0; i < 2000; i++ {
+		step(src.Intn(2), ops[src.Intn(len(ops))])
 	}
 }

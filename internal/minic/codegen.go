@@ -154,6 +154,7 @@ func (g *gen) run(p *program) (*Program, error) {
 		g.out.WriteString(asmlib.Div16)
 	}
 	frames := map[string]uint16{}
+	//detlint:ignore map-to-map copy: every key lands in its own slot whatever the order
 	for name, fr := range g.frames {
 		frames[name] = fr.base
 	}
@@ -262,9 +263,11 @@ func (g *gen) checkRecursion(p *program) error {
 		color[n] = black
 		return nil
 	}
-	for name := range g.funcs {
-		if color[name] == white {
-			if err := visit(name, nil); err != nil {
+	// Roots in source order, so a program with several call cycles
+	// always reports the same one.
+	for _, fn := range p.funcs {
+		if color[fn.name] == white {
+			if err := visit(fn.name, nil); err != nil {
 				return err
 			}
 		}

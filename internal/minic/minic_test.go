@@ -264,6 +264,29 @@ func TestRecursionDiagnosticNamesPath(t *testing.T) {
 	}
 }
 
+// TestRecursionDiagnosticDeterministic compiles a program with three
+// separate call cycles many times: the search starts from functions in
+// source order, so every compile must name the same cycle.
+func TestRecursionDiagnosticDeterministic(t *testing.T) {
+	src := `
+func a() { return b(); }
+func b() { return a(); }
+func c() { return c(); }
+func d() { return e(); }
+func e() { return d(); }
+func main() { a(); c(); d(); }`
+	const want = "recursion not supported: a -> b -> a"
+	for i := 0; i < 200; i++ {
+		_, err := Compile(src, Options{})
+		if err == nil {
+			t.Fatal("no error")
+		}
+		if got := err.Error(); !contains(got, want) {
+			t.Fatalf("compile %d: diagnostic %q, want one naming %q", i, got, want)
+		}
+	}
+}
+
 func contains(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {
