@@ -65,10 +65,12 @@ func Run(load workload.Load, pipeLen int, cycles uint64, seed uint64) (Result, e
 
 	var r Result
 	for r.Cycles < cycles {
-		if !proc.Active() {
-			proc.TickIdle()
-			r.Cycles++
-			r.OffCycles++
+		if off := proc.OffLeft(); off > 0 {
+			// An off gap: jump it whole, or to the end of the budget.
+			k := min(uint64(off), cycles-r.Cycles)
+			proc.SkipIdle(int(k))
+			r.Cycles += k
+			r.OffCycles += k
 			continue
 		}
 		kind, lat := proc.Issue()

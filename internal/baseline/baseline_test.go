@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"disc/internal/rng"
 	"disc/internal/workload"
 )
 
@@ -115,4 +116,55 @@ func TestAccountingIdentity(t *testing.T) {
 	if r.JumpDropped != r.Jumps*3 {
 		t.Fatalf("jump drop accounting broken: %+v", r)
 	}
+}
+
+// TestRunMatchesPerCycle: Run jumps each off gap in one step; it must
+// return exactly what ticking the gap one cycle at a time returns, for
+// every primary and composite load, including budgets that end inside
+// a gap.
+func TestRunMatchesPerCycle(t *testing.T) {
+	loads := workload.Combined()
+	for _, p := range workload.Base() {
+		loads = append(loads, workload.Simple(p))
+	}
+	for _, l := range loads {
+		for c := uint64(1); c <= 1500; c += 7 {
+			got, err := Run(l, 4, c, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := runPerCycle(l, 4, c, c); got != want {
+				t.Fatalf("%s, %d cycles: got %+v, want %+v", l.Name, c, got, want)
+			}
+		}
+	}
+}
+
+// runPerCycle is Run with one loop iteration per off cycle.
+func runPerCycle(load workload.Load, pipeLen int, cycles, seed uint64) Result {
+	proc := workload.NewProcess(load, rng.New(seed).Fork())
+	var r Result
+	for r.Cycles < cycles {
+		if !proc.Active() {
+			proc.TickIdle()
+			r.Cycles++
+			r.OffCycles++
+			continue
+		}
+		kind, lat := proc.Issue()
+		r.Cycles++
+		r.Executed++
+		switch kind {
+		case workload.KindJump:
+			r.Jumps++
+			r.JumpDropped += uint64(pipeLen - 1)
+			r.Cycles += uint64(pipeLen - 1)
+		case workload.KindRequest:
+			if lat > 0 {
+				r.BusBusy += uint64(lat)
+				r.Cycles += uint64(lat)
+			}
+		}
+	}
+	return r
 }

@@ -651,9 +651,9 @@ func (m *Machine) blockSession(max int) int {
 	}
 	// The issue stage would vector a pending interrupt before fetching;
 	// refresh the cached dispatch decision exactly as issue() would.
-	if v := s.intr.Version(); v != s.dispVer {
+	if s.dispEpoch != m.intrEpoch {
 		s.dispBit, s.dispOK = s.intr.Dispatch()
-		s.dispVer = v
+		s.dispEpoch = m.intrEpoch
 	}
 	if s.dispOK {
 		return 0

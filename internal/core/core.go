@@ -128,14 +128,15 @@ type stream struct {
 	entryInFlight bool
 
 	// Cached interrupt-dispatch decision. Dispatch() is a pure function
-	// of the interrupt unit's state, and every mutation of that state
-	// bumps the unit's version counter, so the fetch stage only
-	// recomputes the decision when dispVer falls behind — the common
-	// issue asks "did anything change?" instead of re-deriving the
-	// highest pending level every time.
-	dispVer uint32
-	dispBit uint8
-	dispOK  bool
+	// of the interrupt unit's state, and every mutation of any stream's
+	// unit advances the machine's intrEpoch, so the fetch stage only
+	// recomputes the decision when dispEpoch falls behind — the common
+	// issue compares one machine word instead of loading the unit or
+	// re-deriving the highest pending level. Another stream's mutation
+	// also forces a recompute, which finds the same decision.
+	dispEpoch uint32
+	dispBit   uint8
+	dispOK    bool
 
 	// stats
 	issued     uint64
@@ -285,7 +286,7 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		st := &stream{win: w, intr: interrupt.NewShared(&m.intrEpoch), vb: cfg.VectorBase}
-		st.dispVer = st.intr.Version() - 1 // force the first issue to compute
+		st.dispEpoch = m.intrEpoch - 1 // force the first issue to compute
 		m.streams = append(m.streams, st)
 	}
 	m.stats.PerStream = make([]StreamStats, cfg.Streams)
@@ -514,7 +515,7 @@ func (m *Machine) Reset() {
 		s.lastBusErr = nil
 		s.branchShadow = 0
 		s.entryInFlight = false
-		s.dispVer = s.intr.Version() - 1 // invalidate the dispatch cache
+		s.dispEpoch = m.intrEpoch - 1 // invalidate the dispatch cache
 	}
 	m.pipe = [isa.PipeDepth]slot{}
 	m.pipeBase = 0

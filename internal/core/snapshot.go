@@ -344,7 +344,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 		if st.stallUntil > m.cycle {
 			m.stallMask |= 1 << uint(i)
 		}
-		st.dispVer = st.intr.Version() - 1 // force the next issue to recompute
+		st.dispEpoch = m.intrEpoch - 1 // force the next issue to recompute
 		m.intrVer[i] = st.intr.Version()
 		m.refreshReady(i)
 	}

@@ -346,9 +346,9 @@ func (m *Machine) issue(id int) {
 	// entry micro-op flows down the pipe and performs the context push
 	// at EX, in order with the stream's older instructions.
 	if !resumeJoin {
-		if v := s.intr.Version(); v != s.dispVer {
+		if s.dispEpoch != m.intrEpoch {
 			s.dispBit, s.dispOK = s.intr.Dispatch()
-			s.dispVer = v
+			s.dispEpoch = m.intrEpoch
 		}
 		if bit, ok := s.dispBit, s.dispOK; ok && !s.entryInFlight {
 			retPC := s.pc

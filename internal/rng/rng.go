@@ -88,33 +88,60 @@ func (s *Source) Bool(p float64) bool {
 //
 // For small means it uses Knuth's product-of-uniforms method; for large
 // means it switches to the PTRS transformed-rejection sampler to stay
-// O(1) per sample.
+// O(1) per sample. A caller that draws repeatedly at one mean should
+// build a PoissonSampler once instead: Poisson is exactly
+// NewPoissonSampler(mean).Sample(s).
 func (s *Source) Poisson(mean float64) int {
-	switch {
-	case mean <= 0:
-		return 0
-	case mean < 30:
-		return s.poissonKnuth(mean)
-	default:
-		return s.poissonPTRS(mean)
-	}
+	ps := NewPoissonSampler(mean)
+	return ps.Sample(s)
 }
 
-func (s *Source) poissonKnuth(mean float64) int {
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
+// PoissonSampler draws Poisson samples at one fixed mean with
+// exp(-mean), the threshold of Knuth's method, computed once instead of
+// on every draw. Sample consumes the same uniforms and returns the same
+// values as Source.Poisson at that mean, draw for draw, so a cached
+// sampler never changes a seeded result.
+type PoissonSampler struct {
+	mean float64
+	l    float64 // exp(-mean) when Knuth's method serves the mean
+}
+
+// ptrsMin is the smallest mean Poisson routes to PTRS.
+const ptrsMin = 30
+
+// NewPoissonSampler returns the sampler for mean. A non-positive mean
+// yields a sampler that always returns 0 and draws nothing.
+func NewPoissonSampler(mean float64) PoissonSampler {
+	ps := PoissonSampler{mean: mean}
+	if mean > 0 && mean < ptrsMin {
+		ps.l = math.Exp(-mean)
+	}
+	return ps
+}
+
+// Sample draws one Poisson sample from s.
+func (ps *PoissonSampler) Sample(s *Source) int {
+	switch {
+	case ps.mean <= 0:
+		return 0
+	case ps.mean < ptrsMin:
+		k := 0
+		p := 1.0
+		for {
+			p *= s.Float64()
+			if p <= ps.l {
+				return k
+			}
+			k++
 		}
-		k++
+	default:
+		return s.poissonPTRS(ps.mean)
 	}
 }
 
 // poissonPTRS implements Hörmann's PTRS algorithm (transformed rejection
-// with squeeze) for Poisson means >= 10.
+// with squeeze), which Hörmann states for means >= 10; Poisson routes
+// it only means >= 30 (ptrsMin).
 func (s *Source) poissonPTRS(mean float64) int {
 	b := 0.931 + 2.53*math.Sqrt(mean)
 	a := -0.059 + 0.02483*b

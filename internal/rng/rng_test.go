@@ -286,3 +286,49 @@ func TestSetStateZeroSafe(t *testing.T) {
 		t.Fatal("generator wedged after SetState(0)")
 	}
 }
+
+// TestPoissonSamplerMatchesPoisson: a cached sampler, reused across
+// draws, must be draw-for-draw Source.Poisson — the same values and the
+// same generator state after every draw — and both must match the
+// per-call formulation below (exp(-mean) recomputed on every draw), on
+// both sides of the Knuth/PTRS switch and
+// for the non-positive means that draw nothing.
+func TestPoissonSamplerMatchesPoisson(t *testing.T) {
+	for _, mean := range []float64{-1, 0, 0.5, 4, 10, 29.999, 30, 50, 80} {
+		seed := uint64(mean*1000) + 5
+		ref, a, b := New(seed), New(seed), New(seed)
+		ps := NewPoissonSampler(mean)
+		for i := 0; i < 10000; i++ {
+			want := poissonPerCall(ref, mean)
+			if got := a.Poisson(mean); got != want || a.State() != ref.State() {
+				t.Fatalf("mean %v draw %d: Poisson %d state %#x, per-call %d state %#x",
+					mean, i, got, a.State(), want, ref.State())
+			}
+			if got := ps.Sample(b); got != want || b.State() != ref.State() {
+				t.Fatalf("mean %v draw %d: sampler %d state %#x, per-call %d state %#x",
+					mean, i, got, b.State(), want, ref.State())
+			}
+		}
+	}
+}
+
+// poissonPerCall is Knuth's method before its threshold was cached:
+// every draw recomputes exp(-mean). Large means go to PTRS as before.
+func poissonPerCall(s *Source, mean float64) int {
+	switch {
+	case mean <= 0:
+		return 0
+	case mean >= 30:
+		return s.poissonPTRS(mean)
+	}
+	l := math.Exp(-mean)
+	k := 0
+	p := 1.0
+	for {
+		p *= s.Float64()
+		if p <= l {
+			return k
+		}
+		k++
+	}
+}

@@ -140,20 +140,23 @@ func PDs(rs []Result) []float64 {
 	return out
 }
 
-// pipe slot of the model.
+// slot is one pipe position: the issuing stream, the instruction kind
+// and, for a request, its bus access time.
 type slot struct {
-	valid   bool
-	is      int
-	kind    workload.Kind
-	latency int // for requests
+	lat   int
+	is    uint8
+	kind  workload.Kind
+	valid bool
 }
 
-// isState is a stream's runtime state.
+// isState is a stream's runtime state and its running counts.
 type isState struct {
 	proc     *workload.Process
-	waiting  bool
-	retry    bool // re-issue a flushed request after reactivation
 	retryLat int
+	inPipe   int  // this stream's valid slots in the pipe
+	waiting  bool // in the wait state until a bus channel completes
+	retry    bool // re-issue a flushed request after reactivation
+	m        StreamResult
 }
 
 // Run executes the simulation.
@@ -191,171 +194,219 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("stoch: %d buses outside 1..8", buses)
 	}
 	root := rng.New(cfg.Seed)
-	streams := make([]*isState, len(cfg.Streams))
+	st := make([]isState, len(cfg.Streams))
 	for i, l := range cfg.Streams {
 		if err := l.Validate(); err != nil {
 			return Result{}, err
 		}
-		streams[i] = &isState{proc: workload.NewProcess(l, root.Fork())}
+		st[i].proc = workload.NewProcess(l, root.Fork())
 	}
 
-	res := Result{PerStream: make([]StreamResult, len(streams))}
+	var res Result
+	// The pipe is a ring: position p (0 = just issued, pipeLen-1 =
+	// completing) is pipe[(head+p)%pipeLen], so advancing it moves head
+	// instead of every slot.
 	pipe := make([]slot, pipeLen)
-	busBusy := make([]int, buses)
-	freeBus := func() int {
-		for i, b := range busBusy {
-			if b == 0 {
-				return i
-			}
-		}
-		return -1
-	}
+	head, inPipe := 0, 0
+	busBusy := make([]int, buses) // cycles left on each channel
+	nBusy := 0                    // channels with cycles left
 
-	// readyMask rebuilds the scheduler's ready bits for this cycle. The
-	// stochastic model mutates waiting/Active freely within a cycle, so
-	// unlike the core machine it recomputes eagerly — still just a few
-	// field reads per stream, with no closure on the Next call.
-	readyMask := func() sched.ReadyMask {
-		var m sched.ReadyMask
-		for i, s := range streams {
-			m.SetTo(i, !s.waiting && s.proc.Active())
-		}
-		return m
-	}
-
-	for c := uint64(0); c < cycles; c++ {
-		res.Cycles++
-
+	for c := uint64(0); c < cycles; {
 		// Live-cycle accounting: dead means every stream is in an off
 		// gap, nothing is in flight and the bus is quiet.
-		dead := true
-		for _, b := range busBusy {
-			if b > 0 {
-				dead = false
-				break
-			}
-		}
-		if dead {
-			for _, s := range streams {
-				if s.waiting || s.proc.Active() {
-					dead = false
-					break
+		live := true
+		if inPipe == 0 {
+			// Idle-gap jump (DESIGN.md §10): advance every cycle that
+			// repeats an idle one in one step.
+			var k uint64
+			if k, live = idleGap(st, busBusy, nBusy, cycles-c); k > 0 {
+				res.IdleSlots += k
+				if live {
+					res.LiveCycles += k
 				}
-			}
-		}
-		if dead {
-			for i := range pipe {
-				if pipe[i].valid {
-					dead = false
-					break
+				res.BusBusy += k * uint64(nBusy)
+				for i, b := range busBusy {
+					if b > 0 {
+						busBusy[i] = b - int(k)
+					}
 				}
+				for i := range st {
+					s := &st[i]
+					if s.waiting {
+						s.m.WaitCycles += k
+					} else {
+						s.proc.SkipIdle(int(k))
+						s.m.OffCycles += k
+					}
+				}
+				sc.AdvanceIdle(int(k))
+				c += k
+				continue
 			}
 		}
-		if !dead {
+		c++
+		if live {
 			res.LiveCycles++
 		}
 
 		// Bus advance; any completion reactivates all waiting ISs
 		// (§3.6.1); with multiple channels the busy count sums them.
-		completed := false
-		for i := range busBusy {
-			if busBusy[i] > 0 {
-				busBusy[i]--
-				res.BusBusy++
-				if busBusy[i] == 0 {
-					completed = true
+		if nBusy > 0 {
+			res.BusBusy += uint64(nBusy)
+			completed := 0
+			for i, b := range busBusy {
+				if b > 0 {
+					busBusy[i] = b - 1
+					if b == 1 {
+						completed++
+					}
+				}
+			}
+			if completed > 0 {
+				nBusy -= completed
+				for i := range st {
+					st[i].waiting = false
 				}
 			}
 		}
-		if completed {
-			for _, s := range streams {
-				s.waiting = false
-			}
-		}
 
-		// Complete the instruction leaving the pipe.
-		done := pipe[pipeLen-1]
-		copy(pipe[1:], pipe[:pipeLen-1])
-		pipe[0] = slot{}
-		if done.valid {
-			m := &res.PerStream[done.is]
-			s := streams[done.is]
+		// Advance the pipe and complete the instruction leaving it.
+		if head--; head < 0 {
+			head = pipeLen - 1
+		}
+		if done := pipe[head]; done.valid {
+			pipe[head].valid = false
+			inPipe--
+			s := &st[done.is]
+			s.inPipe--
 			switch done.kind {
 			case workload.KindJump:
 				// The jump takes place: flush every same-IS
 				// instruction still in the pipe.
-				res.Executed++
-				m.Executed++
-				m.Jumps++
-				for i := range pipe {
-					if pipe[i].valid && pipe[i].is == done.is {
-						pipe[i] = slot{}
-						res.Flushed++
-						m.Flushed++
-					}
-				}
+				s.m.Executed++
+				s.m.Jumps++
+				inPipe -= flush(pipe, s, done.is)
 			case workload.KindRequest:
-				if done.latency <= 0 {
+				if done.lat <= 0 {
 					// Zero-time access: nothing blocks.
-					res.Executed++
-					m.Executed++
+					s.m.Executed++
 					break
 				}
-				if ch := freeBus(); ch < 0 {
+				if nBusy == len(busBusy) {
 					// All channels busy: this instruction is flushed
 					// (it does not complete) and the access is
 					// re-requested after reactivation.
-					res.Flushed++
-					m.Flushed++
-					m.Rejects++
-					s.waiting = true
+					s.m.Flushed++
+					s.m.Rejects++
 					s.retry = true
-					s.retryLat = done.latency
+					s.retryLat = done.lat
 				} else {
-					res.Executed++
-					m.Executed++
-					m.Requests++
-					busBusy[ch] = done.latency
-					s.waiting = true
-				}
-				// Either way the IS's other in-flight work flushes.
-				for i := range pipe {
-					if pipe[i].valid && pipe[i].is == done.is {
-						pipe[i] = slot{}
-						res.Flushed++
-						m.Flushed++
+					s.m.Executed++
+					s.m.Requests++
+					for i, b := range busBusy {
+						if b == 0 {
+							busBusy[i] = done.lat
+							break
+						}
 					}
+					nBusy++
 				}
+				s.waiting = true
+				// Either way the IS's other in-flight work flushes.
+				inPipe -= flush(pipe, s, done.is)
 			default:
-				res.Executed++
-				m.Executed++
+				s.m.Executed++
 			}
 		}
 
-		// Idle/off bookkeeping and issue.
-		for i, s := range streams {
+		// Idle/off bookkeeping and the ready mask, in one pass.
+		var ready sched.ReadyMask
+		for i := range st {
+			s := &st[i]
 			if s.waiting {
-				res.PerStream[i].WaitCycles++
-			} else if !s.proc.Active() {
-				s.proc.TickIdle()
-				res.PerStream[i].OffCycles++
+				s.m.WaitCycles++
+				continue
 			}
+			if !s.proc.Active() {
+				s.proc.TickIdle()
+				s.m.OffCycles++
+				if !s.proc.Active() {
+					continue
+				}
+			}
+			ready.Set(i)
 		}
-		id, _, ok := sc.Next(readyMask())
+		id, _, ok := sc.Next(ready)
 		if !ok {
 			res.IdleSlots++
 			continue
 		}
-		s := streams[id]
-		var kind workload.Kind
-		var lat int
+		s := &st[id]
+		sl := slot{is: uint8(id), valid: true}
 		if s.retry {
-			kind, lat = workload.KindRequest, s.retryLat
+			sl.kind, sl.lat = workload.KindRequest, s.retryLat
 			s.retry = false
 		} else {
-			kind, lat = s.proc.Issue()
+			sl.kind, sl.lat = s.proc.Issue()
 		}
-		pipe[0] = slot{valid: true, is: id, kind: kind, latency: lat}
+		pipe[head] = sl
+		inPipe++
+		s.inPipe++
+	}
+
+	res.Cycles = cycles
+	res.PerStream = make([]StreamResult, len(st))
+	for i := range st {
+		m := st[i].m
+		res.PerStream[i] = m
+		res.Executed += m.Executed
+		res.Flushed += m.Flushed
 	}
 	return res, nil
+}
+
+// idleGap is called with the pipe empty. When no stream is ready —
+// each waits on the bus or sits in an off gap — every coming cycle
+// repeats an idle one (channels and gaps count down, nothing issues)
+// until a channel completes or a gap ends; idleGap returns how many
+// cycles, at most left, come before that, or 0 when a stream is ready.
+// live reports whether those cycles count as live: some stream waits
+// or a channel is busy. k always fits an int: any completion wakes
+// every waiting stream, so a stream waits only while some channel is
+// busy, and an off gap or a channel's countdown bounds k.
+func idleGap(st []isState, busBusy []int, nBusy int, left uint64) (k uint64, live bool) {
+	k, live = left, nBusy > 0
+	for i := range st {
+		s := &st[i]
+		if s.waiting {
+			live = true
+			continue
+		}
+		off := s.proc.OffLeft()
+		if off == 0 {
+			return 0, true
+		}
+		k = min(k, uint64(off-1))
+	}
+	for _, b := range busBusy {
+		if b > 0 {
+			k = min(k, uint64(b-1))
+		}
+	}
+	return k, live
+}
+
+// flush removes every in-flight instruction of stream is from the pipe
+// (§4.1's jump and request flushes), counts them against s, and
+// returns how many it removed.
+func flush(pipe []slot, s *isState, is uint8) int {
+	n := s.inPipe
+	for i := 0; s.inPipe > 0; i++ {
+		if pipe[i].valid && pipe[i].is == is {
+			pipe[i].valid = false
+			s.inPipe--
+		}
+	}
+	s.m.Flushed += uint64(n)
+	return n
 }

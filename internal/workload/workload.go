@@ -132,18 +132,42 @@ func Combined() []Load {
 // tells the simulator whether the stream has work, and classifies each
 // issued instruction.
 type Process struct {
-	load  Load
-	src   *rng.Source
-	phase int
+	phases []phase
+	cur    *phase // &phases[phase]
+	src    *rng.Source
+	phase  int
 
 	onLeft  int // instructions remaining in the current burst; -1 = unbounded
 	offLeft int // idle cycles remaining
 	toReq   int // instructions until the next external request; -1 = never
 }
 
+// phase is one constituent of a Load with its Poisson samplers built
+// once, so a draw costs no exp(-mean) and Issue reads the parameters
+// through a pointer instead of copying them.
+type phase struct {
+	Params
+	unbounded         bool // the burst never ends (onLeft = -1)
+	on, off, req, lat rng.PoissonSampler
+}
+
 // NewProcess instantiates a load with its own RNG stream.
 func NewProcess(l Load, src *rng.Source) *Process {
-	p := &Process{load: l, src: src, phase: -1}
+	p := &Process{phases: make([]phase, len(l.Phases)), src: src, phase: -1}
+	for i, pr := range l.Phases {
+		on := pr.MeanOn
+		if on <= 0 && len(l.Phases) > 1 {
+			on = CombinedBurst
+		}
+		p.phases[i] = phase{
+			Params:    pr,
+			unbounded: on <= 0,
+			on:        rng.NewPoissonSampler(on),
+			off:       rng.NewPoissonSampler(pr.MeanOff),
+			req:       rng.NewPoissonSampler(pr.MeanReq),
+			lat:       rng.NewPoissonSampler(pr.MeanIO),
+		}
+	}
 	p.nextBurst()
 	return p
 }
@@ -172,22 +196,20 @@ func (p *Process) State() ProcessState {
 
 // SetState rewinds the process to a previously captured state. The
 // phase index is clamped into range so an adversarial snapshot cannot
-// make params() panic; all other fields are plain counters for which
-// any value is safe.
+// make Issue index past the phase table; all other fields are plain
+// counters for which any value is safe.
 func (p *Process) SetState(s ProcessState) {
 	p.src.SetState(s.RNG)
 	ph := s.Phase
-	if ph < 0 || ph >= len(p.load.Phases) {
+	if ph < 0 || ph >= len(p.phases) {
 		ph = 0
 	}
 	p.phase = ph
+	p.cur = &p.phases[ph]
 	p.onLeft = s.OnLeft
 	p.offLeft = s.OffLeft
 	p.toReq = s.ToReq
 }
-
-// params returns the current phase's parameters.
-func (p *Process) params() Params { return p.load.Phases[p.phase] }
 
 // CombinedBurst is the nominal burst length used for an always-active
 // phase inside a composite load: without a finite burst the composite
@@ -196,15 +218,12 @@ const CombinedBurst = 200
 
 // nextBurst advances to the next activity burst (cycling phases).
 func (p *Process) nextBurst() {
-	p.phase = (p.phase + 1) % len(p.load.Phases)
-	pr := p.params()
-	if pr.MeanOn <= 0 && len(p.load.Phases) > 1 {
-		pr.MeanOn = CombinedBurst
-	}
-	if pr.MeanOn <= 0 {
+	p.phase = (p.phase + 1) % len(p.phases)
+	p.cur = &p.phases[p.phase]
+	if p.cur.unbounded {
 		p.onLeft = -1
 	} else {
-		p.onLeft = p.src.Poisson(pr.MeanOn)
+		p.onLeft = p.cur.on.Sample(p.src)
 		if p.onLeft < 1 {
 			p.onLeft = 1
 		}
@@ -214,12 +233,11 @@ func (p *Process) nextBurst() {
 
 // rollReq draws the distance to the next external request.
 func (p *Process) rollReq() {
-	pr := p.params()
-	if pr.MeanReq <= 0 {
+	if p.cur.MeanReq <= 0 {
 		p.toReq = -1
 		return
 	}
-	p.toReq = p.src.Poisson(pr.MeanReq)
+	p.toReq = p.cur.req.Sample(p.src)
 	if p.toReq < 1 {
 		p.toReq = 1
 	}
@@ -227,6 +245,10 @@ func (p *Process) rollReq() {
 
 // Active reports whether the stream currently has instructions to run.
 func (p *Process) Active() bool { return p.offLeft == 0 }
+
+// OffLeft returns the idle cycles left in the current inactive gap; 0
+// means the stream is active.
+func (p *Process) OffLeft() int { return p.offLeft }
 
 // TickIdle advances an inactive stream by one cycle.
 func (p *Process) TickIdle() {
@@ -236,6 +258,22 @@ func (p *Process) TickIdle() {
 			p.nextBurst()
 		}
 	}
+}
+
+// SkipIdle advances the stream by k idle cycles at once, exactly as k
+// TickIdle calls would: the gap shrinks by k, and if it ends within the
+// k cycles the next burst starts (further idle ticks of an active
+// stream do nothing).
+func (p *Process) SkipIdle(k int) {
+	if k <= 0 || p.offLeft == 0 {
+		return
+	}
+	if k < p.offLeft {
+		p.offLeft -= k
+		return
+	}
+	p.offLeft = 0
+	p.nextBurst()
 }
 
 // Kind classifies one issued instruction.
@@ -253,14 +291,14 @@ const (
 // is free and nothing blocks) — memory with probability alpha, I/O
 // otherwise, per §4.1.
 func (p *Process) Issue() (kind Kind, latency int) {
-	pr := p.params()
+	pr := p.cur
 	// Burst accounting.
 	if p.onLeft > 0 {
 		p.onLeft--
 		if p.onLeft == 0 {
 			// Burst over: enter the off gap after this instruction.
 			if pr.MeanOff > 0 {
-				p.offLeft = p.src.Poisson(pr.MeanOff)
+				p.offLeft = pr.off.Sample(p.src)
 				if p.offLeft < 1 {
 					p.offLeft = 1
 				}
@@ -277,8 +315,7 @@ func (p *Process) Issue() (kind Kind, latency int) {
 			if p.src.Bool(pr.Alpha) {
 				return KindRequest, pr.TMem
 			}
-			lat := p.src.Poisson(pr.MeanIO)
-			return KindRequest, lat
+			return KindRequest, pr.lat.Sample(p.src)
 		}
 	}
 	if pr.AlJmp > 0 && p.src.Bool(pr.AlJmp) {

@@ -179,37 +179,104 @@ func TestProcessDeterminism(t *testing.T) {
 // TestProcessStateRoundTrip: a process checkpointed mid-burst and
 // rewound into a twin must issue the identical request/idle schedule
 // from that point on — the property the snapshot layer relies on for
-// stochastic workloads.
+// stochastic workloads. The second checkpoint falls mid-way through a
+// composite's second phase, restored into a twin still in its first,
+// so the twin's cached phase must follow SetState.
 func TestProcessStateRoundTrip(t *testing.T) {
-	for _, load := range Combined() {
-		a := NewProcess(load, rng.New(7))
-		for i := 0; i < 5000; i++ {
-			if a.Active() {
-				a.Issue()
-			} else {
-				a.TickIdle()
-			}
+	step := func(p *Process) {
+		if p.Active() {
+			p.Issue()
+		} else {
+			p.TickIdle()
 		}
-		mid := a.State()
-		b := NewProcess(load, rng.New(1234))
-		b.SetState(mid)
+	}
+	afterSteps := func(p *Process) bool {
 		for i := 0; i < 5000; i++ {
-			if aa, ba := a.Active(), b.Active(); aa != ba {
-				t.Fatalf("%s step %d: activity diverged", load.Name, i)
-			}
-			if a.Active() {
-				ak, al := a.Issue()
-				bk, bl := b.Issue()
-				if ak != bk || al != bl {
-					t.Fatalf("%s step %d: issue diverged (%v/%d vs %v/%d)", load.Name, i, ak, al, bk, bl)
+			step(p)
+		}
+		return true
+	}
+	midSecondPhase := func(p *Process) bool {
+		for i, inPhase := 0, 0; i < 100000; i++ {
+			step(p)
+			if st := p.State(); st.Phase == 1 && p.Active() {
+				if inPhase++; inPhase >= 5 && st.OnLeft >= 2 {
+					return true
 				}
 			} else {
-				a.TickIdle()
-				b.TickIdle()
+				inPhase = 0
 			}
 		}
-		if a.State() != b.State() {
-			t.Fatalf("%s: final states diverged", load.Name)
+		return false
+	}
+	for _, load := range Combined() {
+		for ci, capture := range []func(*Process) bool{afterSteps, midSecondPhase} {
+			a := NewProcess(load, rng.New(7))
+			if !capture(a) {
+				t.Fatalf("%s: never reached checkpoint %d", load.Name, ci)
+			}
+			mid := a.State()
+			b := NewProcess(load, rng.New(1234))
+			b.SetState(mid)
+			for i := 0; i < 5000; i++ {
+				if aa, ba := a.Active(), b.Active(); aa != ba {
+					t.Fatalf("%s checkpoint %d step %d: activity diverged", load.Name, ci, i)
+				}
+				if a.Active() {
+					ak, al := a.Issue()
+					bk, bl := b.Issue()
+					if ak != bk || al != bl {
+						t.Fatalf("%s checkpoint %d step %d: issue diverged (%v/%d vs %v/%d)",
+							load.Name, ci, i, ak, al, bk, bl)
+					}
+				} else {
+					a.TickIdle()
+					b.TickIdle()
+				}
+			}
+			if a.State() != b.State() {
+				t.Fatalf("%s checkpoint %d: final states diverged", load.Name, ci)
+			}
+		}
+	}
+}
+
+// TestSkipIdleMatchesTickIdle: skipping k cycles of an off gap must
+// leave the process exactly where k TickIdle calls leave it, for every
+// k up to the whole gap, and the two must go on to issue identically.
+func TestSkipIdleMatchesTickIdle(t *testing.T) {
+	short := Params{Name: "short", MeanOn: 3, MeanOff: 2, MeanReq: 4, Alpha: 0.5, TMem: 3, MeanIO: 40}
+	loads := []Load{Simple(Ld2), Simple(Ld4), Simple(short), Combined()[0], Combined()[2]} // loads with off gaps
+	for _, load := range loads {
+		p := NewProcess(load, rng.New(21))
+		for gaps := 0; gaps < 20; {
+			if p.Active() {
+				p.Issue()
+				continue
+			}
+			gaps++
+			st := p.State()
+			for k := 1; k <= st.OffLeft; k++ {
+				a, b := NewProcess(load, rng.New(1)), NewProcess(load, rng.New(2))
+				a.SetState(st)
+				b.SetState(st)
+				a.SkipIdle(k)
+				for i := 0; i < k; i++ {
+					b.TickIdle()
+				}
+				if a.State() != b.State() || a.OffLeft() != st.OffLeft-k {
+					t.Fatalf("%s gap %d, k=%d of %d: skip %+v, ticks %+v",
+						load.Name, gaps, k, st.OffLeft, a.State(), b.State())
+				}
+				for i := 0; i < 50 && a.Active(); i++ {
+					ak, al := a.Issue()
+					bk, bl := b.Issue()
+					if ak != bk || al != bl {
+						t.Fatalf("%s gap %d, k=%d: issue %d diverged", load.Name, gaps, k, i)
+					}
+				}
+			}
+			p.TickIdle()
 		}
 	}
 }
