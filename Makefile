@@ -4,9 +4,9 @@
 # `bash discbench/run.sh`).
 GO ?= go
 
-.PHONY: check fmt build vet test race detlint bench-vet
+.PHONY: check fmt build vet test race detlint mutants bench-vet
 
-check: fmt build vet test race detlint bench-vet
+check: fmt build vet test race detlint mutants bench-vet
 
 # Every Go file in the tree, discbench/ included, must be gofmt-clean.
 fmt:
@@ -32,7 +32,12 @@ race:
 # map-order iteration in the packages whose outputs must be
 # bit-identical run to run.
 detlint:
-	$(GO) run ./cmd/detlint internal/core internal/bus internal/interrupt internal/mem internal/isa internal/stackwin internal/sched internal/obs internal/parallel internal/stoch internal/rng internal/analysis internal/blockc internal/snap internal/serve internal/fault internal/xval internal/workload internal/baseline internal/tables internal/trace internal/minic internal/asm internal/asmlib internal/report internal/rt internal/study internal/prof cmd/experiments
+	$(GO) run ./cmd/detlint internal/core internal/bus internal/interrupt internal/mem internal/isa internal/stackwin internal/sched internal/obs internal/parallel internal/stoch internal/rng internal/analysis internal/blockc internal/board internal/snap internal/serve internal/fault internal/xval internal/workload internal/baseline internal/tables internal/trace internal/minic internal/asm internal/asmlib internal/report internal/rt internal/study internal/prof cmd/experiments
+
+# Mutation gate: every seeded fault in cmd/mutants' table, applied with
+# `go test -overlay`, must fail the tests the table names for it.
+mutants:
+	$(GO) run ./cmd/mutants
 
 # discbench is its own module (replace disc => ../), so the root
 # `go build ./...` never compiles it; vet it here so an API change that

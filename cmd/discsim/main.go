@@ -83,7 +83,7 @@ import (
 	"disc/internal/analysis"
 	"disc/internal/asm"
 	"disc/internal/blockc"
-	"disc/internal/bus"
+	"disc/internal/board"
 	"disc/internal/core"
 	"disc/internal/isa"
 	"disc/internal/obs"
@@ -102,7 +102,7 @@ func main() {
 	trapBusFault := flag.Bool("trap-busfault", false, "raise IR bit 5 on the issuing stream when an external access fails")
 	shares := flag.String("shares", "", "scheduler partition weights, e.g. 3,1,1,1")
 	vb := flag.Uint("vb", 0x0200, "interrupt vector base")
-	extram := flag.Int("extram", 4, "external RAM wait states")
+	extram := flag.Int("extram", board.DefaultExtramWaits, "external RAM wait states")
 	traceN := flag.Int("trace", 0, "render an n-cycle pipeline trace")
 	traceOut := flag.String("trace-out", "", "write the run as Chrome trace-event JSON (Perfetto) to this file")
 	traceBuf := flag.Int("trace-buf", obs.DefaultCapacity, "flight-recorder ring capacity in events")
@@ -181,7 +181,9 @@ func main() {
 		fatal(err)
 	}
 	m.Bus().SetTimeout(*busTimeout)
-	attachBoard(m, *extram)
+	if err := board.Attach(m, *extram, nil); err != nil {
+		fatal(err)
+	}
 	// Attach the flight recorder before any stream starts, so even the
 	// StartStream wake-ups land in the record.
 	var rec *obs.Recorder
@@ -241,7 +243,7 @@ func main() {
 			VectorBase: uint16(*vb),
 			Streams:    *streams,
 			BusTimeout: *busTimeout,
-			BusRanges:  boardRanges(*extram),
+			BusRanges:  board.Ranges(*extram),
 		})
 		fmt.Fprintf(os.Stderr, "discsim: block engine: %d instructions compiled into %d fused regions (%d planned but unqualified)\n",
 			tbl.Compiled, tbl.Regions, tbl.Skipped)
@@ -471,35 +473,6 @@ func parseRange(s string) (uint16, uint16, error) {
 		return 0, 0, fmt.Errorf("bad range %q", s)
 	}
 	return uint16(lo), uint16(hi), nil
-}
-
-// attachBoard populates the bus with the standard peripheral set.
-func attachBoard(m *core.Machine, ramWaits int) {
-	b := m.Bus()
-	must := func(err error) {
-		if err != nil {
-			fatal(err)
-		}
-	}
-	must(b.Attach(isa.ExternalBase, 0x1000, bus.NewRAM("extram", 0x1000, ramWaits)))
-	must(b.Attach(isa.IOBase+0x00, 4, bus.NewTimer("timer0", 2, m.RaiseIRQ, 0, 4)))
-	must(b.Attach(isa.IOBase+0x10, 2, bus.NewUART("uart0", 6)))
-	must(b.Attach(isa.IOBase+0x20, 8, bus.NewGPIO("gpio0", 1)))
-	must(b.Attach(isa.IOBase+0x30, 4, bus.NewADC("adc0", 4, 25, nil)))
-	must(b.Attach(isa.IOBase+0x40, 2, bus.NewStepper("step0", 3)))
-}
-
-// boardRanges mirrors attachBoard for the static analyzer: every span
-// a program can legally address externally, with its wait states.
-func boardRanges(ramWaits int) []analysis.BusRange {
-	return []analysis.BusRange{
-		{Base: isa.ExternalBase, Size: 0x1000, Wait: ramWaits},
-		{Base: isa.IOBase + 0x00, Size: 4, Wait: 2},
-		{Base: isa.IOBase + 0x10, Size: 2, Wait: 6},
-		{Base: isa.IOBase + 0x20, Size: 8, Wait: 1},
-		{Base: isa.IOBase + 0x30, Size: 4, Wait: 4},
-		{Base: isa.IOBase + 0x40, Size: 2, Wait: 3},
-	}
 }
 
 // runSim drives every non-debug run — fixed-length (-cycles) and

@@ -121,6 +121,33 @@ func TestObsDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBlockTableShape pins what BuildBlockTable qualifies on each Table
+// 4.1 load, through the analysis planner (as discsim -block-engine and
+// discbench attach it) and over the whole image: a change to the
+// fusible-instruction predicate shows here as a moved count.
+func TestBlockTableShape(t *testing.T) {
+	type shape struct{ compiled, regions, skipped int }
+	want := map[string][2]shape{
+		"load1": {{535, 74, 0}, {2175, 1, 0}},
+		"load2": {{480, 69, 0}, {2187, 1, 0}},
+		"load3": {{2003, 1, 0}, {2003, 1, 0}},
+		"load4": {{515, 78, 0}, {2317, 1, 0}},
+	}
+	for i, p := range workload.Base() {
+		m := benchBlockSetup(t, p, loadSeed(i), true)
+		planned := m.AttachedBlockTable()
+		whole := core.BuildBlockTable(m.Program(),
+			[]core.RegionSpec{{Start: 0, End: uint16(m.Program().Limit() - 1)}})
+		got := [2]shape{
+			{planned.Compiled, planned.Regions, planned.Skipped},
+			{whole.Compiled, whole.Regions, whole.Skipped},
+		}
+		if got != want[p.Name] {
+			t.Errorf("%s: {compiled, regions, skipped} planned/whole = %v, want %v", p.Name, got, want[p.Name])
+		}
+	}
+}
+
 // TestBlockFusionCoverage pins the deterministic session-stat shape
 // per Table 4.1 load: the compute-bound mix (load 3) must execute
 // essentially everywhere inside fused sessions, and on the bus-bound

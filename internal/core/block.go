@@ -2,12 +2,15 @@ package core
 
 // Block-compiled execution: the dynamic half of the analysis→execution
 // pipeline (DESIGN.md §13). Qualifying runs of instructions are
-// pre-compiled into fused Go closures; when the machine is provably in
-// a quiescent single-stream state, a whole run executes in one
-// dispatch — a "session" — instead of one Step call per cycle, with
+// compiled into regions of decoded pipe slots; when the machine is
+// provably in a quiescent single-stream state, a whole run executes in
+// one dispatch — a "session" — instead of one Step call per cycle, with
 // the per-cycle machinery (readiness sweeps, scheduler calls, pipe
 // shifts, slot writes) replaced by bulk accounting that lands on the
-// exact same architectural state.
+// exact same architectural state. A session has no instruction
+// semantics of its own: every op runs through the interpreter's
+// execute. The session owns only timing, the bail on an external
+// access, and branch resolution.
 //
 // Three region forms widen the fusible universe beyond straight lines:
 //
@@ -38,20 +41,22 @@ package core
 //     preconditions the per-cycle machine would issue this stream
 //     back-to-back and nothing interleave-visible could happen — which
 //     is exactly what the fused path replays, shadow cycles included.
-//   - Compiled ops run in EX order at their precise execute cycles
-//     (an instruction issued at cycle c executes at c+2), with m.cycle
-//     maintained per op so a mid-session bus-wait entry stamps the
-//     same request Tag the per-cycle path would.
+//   - Compiled slots run through execute in EX order at their precise
+//     execute cycles (an instruction issued at cycle c executes at
+//     c+2), with m.cycle set before every op that can reach the bus, so
+//     a mid-session bus-wait entry stamps the same request Tag the
+//     per-cycle path would.
 //   - Rest-state devices are kept cycle-exact by a tick watermark: a
 //     session skips the per-cycle TickDevices sweep (provably inert
 //     under the entry check), then replays the elided ticks in bulk
 //     through bus.CatchUp before any access and at session end, so
 //     device-internal cycle counters (fault windows, serialized state)
 //     match a per-cycle run tick for tick.
-//   - Memory ops compile with a runtime internal-memory guard; the
-//     moment one goes external it performs the exact §3.6.1 wait-state
-//     entry and the session ends ("bail"), committing partial
-//     accounting including the flush of the one younger in-flight slot.
+//   - Memory ops run through execute too; the moment one goes external,
+//     access (under inSession) performs the exact §3.6.1 wait-state
+//     entry through blockBusEnter and the session ends ("bail"),
+//     committing partial accounting including the flush of the one
+//     younger in-flight slot.
 //   - Stack-window faults cannot fire mid-session: each region carries
 //     suffix extrema of its cumulative AWP deltas; the entry check
 //     proves the straight-line excursion and every branch resolution
@@ -68,8 +73,8 @@ package core
 // with exponential backoff, so a phase change re-promotes them. The
 // gate is pure counter arithmetic — deterministic and replay-safe.
 //
-// BuildBlockTable re-qualifies every instruction through the op
-// compilers regardless of what the planner (internal/blockc) claimed,
+// BuildBlockTable re-qualifies every instruction through fusible
+// regardless of what the planner (internal/blockc) claimed,
 // so a bogus region spec can cost performance but never correctness.
 // The table records the program-store version it was built against;
 // any Load/Set afterwards invalidates it at the next session attempt.
@@ -81,7 +86,6 @@ import (
 	"disc/internal/isa"
 	"disc/internal/mem"
 	"disc/internal/obs"
-	"disc/internal/stackwin"
 )
 
 // MinFuseLen is the shortest straight-line run worth fusing: a session
@@ -104,15 +108,9 @@ type RegionSpec struct {
 	Start, End uint16
 }
 
-// blockOp executes one compiled instruction's EX semantics. m.cycle is
-// already set to the op's execute cycle. It returns false when the op
-// performed a session-ending §3.6.1 wait-state entry (an external
-// memory access), true otherwise.
-type blockOp func(m *Machine, id int, s *stream) bool
-
 // brSpec describes a fused control transfer at the same index of the
-// region's op array. The op itself is a no-op closure (plus any
-// stack-window adjust); the session loop owns the control decision.
+// region's slots. The slot itself is a NOP carrying the branch's
+// stack-window adjust; the session loop owns the control decision.
 type brSpec struct {
 	valid  bool     // this index is a fused JMP/Bcc
 	uncond bool     // JMP, or Bcc with CondAL: taken unconditionally
@@ -121,23 +119,24 @@ type brSpec struct {
 	fall   uint16   // fall-through address (pc+1)
 }
 
-// region is one compiled run of fusible instructions. ops[i] may be
-// nil: a statically-dead gap the planner bridged. Gap addresses are
-// not indexed (no session enters or continues at one) and a running
-// session exits before issuing one, so gaps never execute.
+// region is one compiled run of fusible instructions, held as the
+// decoded slots execute runs. slots[i] may be invalid: a statically-dead
+// gap the planner bridged. Gap addresses are not indexed (no session
+// enters or continues at one) and a running session exits before
+// issuing one, so gaps never execute.
 type region struct {
 	start, end uint16
-	ops        []blockOp
+	slots      []slot
 	brs        []brSpec
-	// cum[i] is the net AWP delta of ops[0..i]; sufMax/sufMin[i] bound
+	// cum[i] is the net AWP delta of slots[0..i]; sufMax/sufMin[i] bound
 	// cum[j] over j >= i. Entry and branch-resolution checks use them
 	// to prove no stack-window fault can fire before the next check.
 	cum, sufMax, sufMin []int
-	// run[i] counts the consecutive straight-line ops from i: non-gap,
+	// run[i] counts the consecutive straight-line slots from i: non-gap,
 	// non-branch. The session loop batches such stretches through a
 	// tight execute-only path with no per-cycle control bookkeeping.
 	run []int32
-	// flatWin: no op in the region moves the stack window (all cum
+	// flatWin: no slot in the region moves the stack window (all cum
 	// zero). Branch resolutions between flat regions skip the live
 	// headroom re-proof — the entry-time bound still covers them.
 	flatWin bool
@@ -325,9 +324,9 @@ func (m *Machine) AttachedBlockTable() *BlockTable { return m.blocks }
 
 // BuildBlockTable compiles the qualifying instructions inside specs
 // into fused regions. Every instruction is qualified individually
-// through the op compilers — the specs only bound the search — so
-// callers may pass coarse or even bogus ranges without risking
-// correctness. JMP and Bcc compile as fused branches; other breakers
+// (fusible) — the specs only bound the search — so callers may pass
+// coarse or even bogus ranges without risking correctness. JMP and Bcc
+// compile as fused branches; other breakers
 // (calls, returns, computed jumps, stream control, illegal words)
 // become in-region gaps when a live op precedes them within
 // MaxRegionGap addresses, and split the region otherwise. Runs with
@@ -350,48 +349,37 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 				continue
 			}
 			runStart := a
-			var ops []blockOp
+			var slots []slot
 			var brs []brSpec
 			var deltas []int
-			live := 0   // non-gap ops collected
+			live := 0   // non-gap slots collected
 			gapRun := 0 // consecutive gaps at the current tail
 			for a <= end && t.index[a] == 0 {
 				in, meta := prog.Decoded(uint16(a))
-				var op blockOp
-				var br brSpec
-				ok := false
-				if meta&mem.MetaIllegal == 0 {
-					if meta&mem.MetaShadow != 0 {
-						op, br, ok = compileBranch(in, uint16(a))
-					} else {
-						op, ok = compileOp(in, uint16(a))
-					}
+				if d, known := in.AWPDelta(); known && fusible(in, meta) {
+					sl, br := compileSlot(in, uint16(a))
+					slots = append(slots, sl)
+					brs = append(brs, br)
+					deltas = append(deltas, d)
+					live++
+					gapRun = 0
+					a++
+					continue
 				}
-				if ok {
-					if d, known := in.AWPDelta(); known {
-						ops = append(ops, op)
-						brs = append(brs, br)
-						deltas = append(deltas, d)
-						live++
-						gapRun = 0
-						a++
-						continue
-					}
-				}
-				// Region breaker: carry it as a dead gap if a live op
+				// Region breaker: carry it as a dead gap if a live slot
 				// precedes it and the gap stays short, else split here.
 				if live == 0 || gapRun == MaxRegionGap {
 					break
 				}
-				ops = append(ops, nil)
+				slots = append(slots, slot{})
 				brs = append(brs, brSpec{})
 				deltas = append(deltas, 0)
 				gapRun++
 				a++
 			}
 			// Trailing gaps carry nothing: trim them off the region.
-			for len(ops) > 0 && ops[len(ops)-1] == nil {
-				ops = ops[:len(ops)-1]
+			for len(slots) > 0 && !slots[len(slots)-1].valid {
+				slots = slots[:len(slots)-1]
 				brs = brs[:len(brs)-1]
 				deltas = deltas[:len(deltas)-1]
 			}
@@ -403,12 +391,12 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 				}
 				continue
 			}
-			t.Skipped += len(ops) - live // carried gaps
-			r := region{start: uint16(runStart), end: uint16(int(runStart) + len(ops) - 1),
-				ops: ops, brs: brs}
-			r.cum = make([]int, len(ops))
-			r.sufMax = make([]int, len(ops))
-			r.sufMin = make([]int, len(ops))
+			t.Skipped += len(slots) - live // carried gaps
+			r := region{start: uint16(runStart), end: uint16(int(runStart) + len(slots) - 1),
+				slots: slots, brs: brs}
+			r.cum = make([]int, len(slots))
+			r.sufMax = make([]int, len(slots))
+			r.sufMin = make([]int, len(slots))
 			sum := 0
 			r.flatWin = true
 			for i, d := range deltas {
@@ -418,8 +406,8 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 					r.flatWin = false
 				}
 			}
-			mx, mn := r.cum[len(ops)-1], r.cum[len(ops)-1]
-			for i := len(ops) - 1; i >= 0; i-- {
+			mx, mn := r.cum[len(slots)-1], r.cum[len(slots)-1]
+			for i := len(slots) - 1; i >= 0; i-- {
 				if r.cum[i] > mx {
 					mx = r.cum[i]
 				}
@@ -429,13 +417,13 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 				r.sufMax[i] = mx
 				r.sufMin[i] = mn
 			}
-			r.run = make([]int32, len(ops))
-			for i := len(ops) - 1; i >= 0; i-- {
-				if ops[i] == nil || brs[i].valid {
+			r.run = make([]int32, len(slots))
+			for i := len(slots) - 1; i >= 0; i-- {
+				if !slots[i].valid || brs[i].valid {
 					continue // run stays 0: a gap or a fused branch
 				}
 				r.run[i] = 1
-				if i+1 < len(ops) {
+				if i+1 < len(slots) {
 					r.run[i] += r.run[i+1]
 				}
 			}
@@ -443,14 +431,63 @@ func BuildBlockTable(prog *mem.Program, specs []RegionSpec) *BlockTable {
 			t.Compiled += live
 			t.Regions++
 			ri := int32(len(t.regions)) // index+1
-			for i, op := range ops {
-				if op != nil {
+			for i := range slots {
+				if slots[i].valid {
 					t.index[runStart+uint32(i)] = ri
 				}
 			}
 		}
 	}
 	return t
+}
+
+// fusible reports whether a session may execute the instruction: its EX
+// semantics can produce no interleave-visible event — no stream or
+// interrupt control, no write to a scheduling-visible special register,
+// no computed or window-moving control transfer. Memory ops qualify
+// because a session ends at their first external access (access, under
+// inSession); LDM and STM at a static external address never qualify.
+// JMP and Bcc qualify in a shadow position, as fused branches the
+// session resolves. Stack-window adjust fields qualify freely — the
+// session headroom checks prove they cannot fault.
+func fusible(in isa.Instruction, meta uint8) bool {
+	if meta&mem.MetaIllegal != 0 {
+		return false
+	}
+	if meta&mem.MetaShadow != 0 {
+		return in.Op == isa.OpJMP || in.Op == isa.OpBcc
+	}
+	switch in.Op {
+	case isa.OpLD, isa.OpST, isa.OpTAS, isa.OpMFS:
+		return true
+	case isa.OpLDM, isa.OpSTM:
+		return uint16(in.Imm) < isa.InternalSize
+	case isa.OpMTS:
+		// PC is a computed jump; AWP/BOS relocate the window beyond the
+		// static headroom proof; IR/MR change dispatchability.
+		return in.Spec == isa.SpecSR || in.Spec == isa.SpecH || in.Spec == isa.SpecVB
+	}
+	return in.Op <= isa.OpLDHI
+}
+
+// compileSlot builds the slot a session executes for a fusible
+// instruction at pc, and its branch spec. A fused JMP or Bcc executes
+// as a NOP carrying the branch's stack-window adjust: the session loop
+// makes the control decision itself, at the branch's EX cycle.
+func compileSlot(in isa.Instruction, pc uint16) (slot, brSpec) {
+	sl := slot{instr: in, valid: true, pc: pc}
+	var br brSpec
+	switch in.Op {
+	case isa.OpJMP:
+		br = brSpec{valid: true, uncond: true, taken: uint16(in.Imm), fall: pc + 1}
+	case isa.OpBcc:
+		br = brSpec{valid: true, uncond: in.Cond == isa.CondAL, cond: in.Cond,
+			taken: pc + 1 + uint16(in.Imm), fall: pc + 1}
+	default:
+		return sl, br
+	}
+	sl.instr = isa.Instruction{Op: isa.OpNOP, SW: in.SW}
+	return sl, br
 }
 
 // stepBlock advances the machine by one dispatch of at most max cycles
@@ -618,7 +655,7 @@ func (m *Machine) blockSession(max int) int {
 		}
 	}
 	if t.version != m.prog.Version() {
-		// Image reloaded or patched: the compiled closures may describe
+		// Image reloaded or patched: the compiled slots may describe
 		// instructions that no longer exist. Drop the table.
 		m.blocks = nil
 		m.gates = nil
@@ -649,13 +686,8 @@ func (m *Machine) blockSession(max int) int {
 	if s.state != StateRun || s.branchShadow != 0 || s.entryInFlight {
 		return 0
 	}
-	// The issue stage would vector a pending interrupt before fetching;
-	// refresh the cached dispatch decision exactly as issue() would.
-	if s.dispEpoch != m.intrEpoch {
-		s.dispBit, s.dispOK = s.intr.Dispatch()
-		s.dispEpoch = m.intrEpoch
-	}
-	if s.dispOK {
+	// The issue stage would vector a pending interrupt before fetching.
+	if m.dispatch(s); s.dispOK {
 		return 0
 	}
 	p := s.pc
@@ -734,6 +766,7 @@ func (m *Machine) blockSession(max int) int {
 
 	// --- Qualified: run the fused session. ---
 	m.blockDemoteSkip = 0
+	m.inSession = true
 	exS, wrS := *m.stage(2), *m.stage(3)
 	entry := m.cycle
 	budget := entry + uint64(max)
@@ -796,7 +829,7 @@ func (m *Machine) blockSession(max int) int {
 			break
 		}
 		if c >= nextIssue {
-			if issueJ >= len(reg.ops) || reg.ops[issueJ] == nil {
+			if issueJ >= len(reg.slots) || !reg.slots[issueJ].valid {
 				// Cursor ran off the region or onto a dead gap: exit
 				// cleanly with the pipe full of issued work.
 				X = c - 1
@@ -831,8 +864,9 @@ func (m *Machine) blockSession(max int) int {
 					for q := uint64(0); q < 2; q++ {
 						if e := pend[(c+q)&1]; e.valid {
 							pend[(c+q)&1].valid = false
-							m.cycle = c + q
-							if !reg.ops[e.j](m, id, s) {
+							if sl := &reg.slots[e.j]; sl.aluOnly() {
+								m.alu(s, &sl.instr)
+							} else if !m.exSlot(id, s, sl, c+q) {
 								bailAt = c + q
 								break
 							}
@@ -842,10 +876,11 @@ func (m *Machine) blockSession(max int) int {
 					// subslice drops the per-op bounds check from the
 					// hottest loop in the engine.
 					if bailAt == 0 {
-						m.cycle = c + 1
-						for i, op := range reg.ops[j0 : j0+L-2] {
-							m.cycle++
-							if !op(m, id, s) {
+						body := reg.slots[j0 : j0+L-2]
+						for i := range body {
+							if sl := &body[i]; sl.aluOnly() {
+								m.alu(s, &sl.instr)
+							} else if !m.exSlot(id, s, sl, c+uint64(i)+2) {
 								bailAt = c + uint64(i) + 2
 								break
 							}
@@ -899,9 +934,10 @@ func (m *Machine) blockSession(max int) int {
 		// an idle issue phase below must not leave it to re-fire at c+2.
 		if e := pend[c&1]; e.valid {
 			pend[c&1].valid = false
-			m.cycle = c
 			j := int(e.j)
-			if !reg.ops[j](m, id, s) {
+			if sl := &reg.slots[j]; sl.aluOnly() {
+				m.alu(s, &sl.instr)
+			} else if !m.exSlot(id, s, sl, c) {
 				bail = true
 				X = c
 				break
@@ -985,6 +1021,7 @@ func (m *Machine) blockSession(max int) int {
 			issueJ++
 		}
 	}
+	m.inSession = false
 	n := int(X - entry)
 
 	// --- Bulk accounting: exactly what n per-cycle Steps would do. ---
@@ -1185,14 +1222,38 @@ func (m *Machine) freshSlot(id int, pc uint16) slot {
 		shadow: meta&mem.MetaShadow != 0}
 }
 
-// blockBusEnter performs the §3.6.1 wait-state entry for a compiled
-// memory op whose effective address went external: catch the rest-state
-// devices up to now, post the access, block the stream, and advance its
-// PC past the instruction (the access completes asynchronously; flushed
-// successors re-fetch from there). The bus is never busy mid-session —
-// the session's first external access is also its last — so the
-// busy-retry path cannot occur. The caller commits flush and idle-slot
-// accounting.
+// aluOnly reports whether all execute would run for a compiled slot is
+// alu: a register-only op with no stack-window adjust (a compiled slot
+// is never an interrupt entry and never carries a branch shadow). The
+// session loop calls alu directly for such slots — the common case —
+// and exSlot for the rest.
+func (sl *slot) aluOnly() bool {
+	return sl.instr.Op <= isa.OpLDHI && sl.instr.SW == isa.SWNone
+}
+
+// exSlot executes one compiled slot at EX cycle c for the session's
+// stream and reports whether the session continues: false when the
+// op's external access ended it (blockBusEnter). The session headroom
+// checks prove no stack-window event can fire; the assertion turns an
+// engine bug into a loud panic instead of a silent divergence.
+func (m *Machine) exSlot(id int, s *stream, sl *slot, c uint64) bool {
+	m.cycle = c
+	faults := s.stackFault
+	m.execute(id, s, sl)
+	if s.stackFault != faults {
+		panic("core: stack-window fault inside a fused block session (headroom check bug)")
+	}
+	return s.state == StateRun
+}
+
+// blockBusEnter performs the §3.6.1 wait-state entry for a memory op
+// that a session executed at an external address (access calls it
+// under inSession): catch the rest-state devices up to now, post the
+// access, block the stream, and advance its PC past the instruction
+// (the access completes asynchronously; flushed successors re-fetch
+// from there). The bus is never busy mid-session — the session's first
+// external access is also its last — so the busy-retry path cannot
+// occur. The session commits flush and idle-slot accounting.
 func (m *Machine) blockBusEnter(id int, s *stream, pc, ea uint16, write bool, data uint16, dest isa.Reg) {
 	if m.bus.NeedsTick() {
 		// The per-cycle path ticks devices at the top of every cycle,
@@ -1225,389 +1286,4 @@ func (m *Machine) blockBusEnter(id int, s *stream, pc, ea uint16, write bool, da
 		m.emitState(id, obs.StreamRun, obs.StreamBusWait)
 	}
 	m.refreshReady(id)
-}
-
-// compileBranch compiles a control transfer into a fused-branch op, or
-// reports ok=false for the transfer kinds the session loop cannot own:
-// computed targets (JR, CALR, MTS PC), window-moving calls and returns,
-// and interrupt returns. JMP and Bcc qualify — their EX effect is the
-// control decision itself (plus any stack-window adjust), which the
-// session resolves against live flags at the exact EX cycle.
-func compileBranch(in isa.Instruction, pc uint16) (blockOp, brSpec, bool) {
-	var br brSpec
-	switch in.Op {
-	case isa.OpJMP:
-		br = brSpec{valid: true, uncond: true, taken: uint16(in.Imm), fall: pc + 1}
-	case isa.OpBcc:
-		br = brSpec{valid: true, uncond: in.Cond == isa.CondAL, cond: in.Cond,
-			taken: pc + 1 + uint16(in.Imm), fall: pc + 1}
-	default:
-		return nil, brSpec{}, false
-	}
-	op := blockOp(func(m *Machine, id int, s *stream) bool { return true })
-	return wrapSW(in, op), br, true
-}
-
-// compileOp compiles one instruction into a fused closure, or reports
-// ok=false for a region breaker. The qualification rule is semantic:
-// an instruction compiles exactly when its EX semantics cannot produce
-// an interleave-visible event — no stream/interrupt control
-// (scheduling visibility), no write to a scheduling-visible special
-// register. Control transfers go through compileBranch. Memory ops
-// compile with a runtime internal-memory guard and end the session on
-// an external access; LDM/STM with a provably-external static address
-// never compile. Stack-window adjust fields compile freely — the
-// session headroom checks prove they cannot fault.
-//
-// Every closure replicates the corresponding execute() case exactly,
-// including flag algebra and write ordering; equiv_test.go and
-// FuzzStepEquiv hold the two implementations together.
-func compileOp(in isa.Instruction, pc uint16) (blockOp, bool) {
-	var op blockOp
-	switch in.Op {
-	case isa.OpNOP:
-		op = func(m *Machine, id int, s *stream) bool { return true }
-
-	// ---- ALU register-register ----
-	case isa.OpADD:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a, b := m.readReg(s, rs), m.readReg(s, rt)
-			r := a + b
-			m.addFlags(s, a, b, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpSUB:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a, b := m.readReg(s, rs), m.readReg(s, rt)
-			r := a - b
-			m.subFlags(s, a, b, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpAND:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rs) & m.readReg(s, rt)
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpOR:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rs) | m.readReg(s, rt)
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpXOR:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rs) ^ m.readReg(s, rt)
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpSHL:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rs)
-			amt := m.readReg(s, rt) & 0xF
-			r := a << amt
-			m.setZN(s, r)
-			if amt > 0 {
-				s.flags &^= isa.FlagC
-				if a&(1<<(16-amt)) != 0 {
-					s.flags |= isa.FlagC
-				}
-			}
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpSHR:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rs)
-			amt := m.readReg(s, rt) & 0xF
-			r := a >> amt
-			m.setZN(s, r)
-			if amt > 0 {
-				s.flags &^= isa.FlagC
-				if a&(1<<(amt-1)) != 0 {
-					s.flags |= isa.FlagC
-				}
-			}
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpASR:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rs)
-			amt := m.readReg(s, rt) & 0xF
-			r := uint16(int16(a) >> amt)
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpMUL:
-		rs, rt, rd := in.Rs, in.Rt, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			p := uint32(m.readReg(s, rs)) * uint32(m.readReg(s, rt))
-			lo := uint16(p)
-			s.h = uint16(p >> 16)
-			m.setZN(s, lo)
-			m.writeReg(s, rd, lo)
-			return true
-		}
-	case isa.OpCMP:
-		rs, rt := in.Rs, in.Rt
-		op = func(m *Machine, id int, s *stream) bool {
-			a, b := m.readReg(s, rs), m.readReg(s, rt)
-			m.subFlags(s, a, b, a-b)
-			return true
-		}
-	case isa.OpMOV:
-		rs, rd := in.Rs, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rs)
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpNOT:
-		rs, rd := in.Rs, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			r := ^m.readReg(s, rs)
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpNEG:
-		rs, rd := in.Rs, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rs)
-			r := -a
-			m.subFlags(s, 0, a, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpSWP:
-		rs, rd := in.Rs, in.Rd
-		op = func(m *Machine, id int, s *stream) bool {
-			a, b := m.readReg(s, rd), m.readReg(s, rs)
-			m.writeReg(s, rd, b)
-			m.writeReg(s, rs, a)
-			m.setZN(s, b)
-			return true
-		}
-
-	// ---- ALU immediate ----
-	case isa.OpADDI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rd)
-			r := a + imm
-			m.addFlags(s, a, imm, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpSUBI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rd)
-			r := a - imm
-			m.subFlags(s, a, imm, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpANDI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rd) & imm
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpORI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rd) | imm
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpXORI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			r := m.readReg(s, rd) ^ imm
-			m.setZN(s, r)
-			m.writeReg(s, rd, r)
-			return true
-		}
-	case isa.OpCMPI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			a := m.readReg(s, rd)
-			m.subFlags(s, a, imm, a-imm)
-			return true
-		}
-	case isa.OpLDI:
-		rd, imm := in.Rd, uint16(in.Imm)
-		op = func(m *Machine, id int, s *stream) bool {
-			m.setZN(s, imm)
-			m.writeReg(s, rd, imm)
-			return true
-		}
-	case isa.OpLDHI:
-		rd, imm := in.Rd, uint16(in.Imm)<<8
-		op = func(m *Machine, id int, s *stream) bool {
-			m.setZN(s, imm)
-			m.writeReg(s, rd, imm)
-			return true
-		}
-
-	// ---- Memory (runtime internal guard; external = bail) ----
-	case isa.OpLD:
-		rs, rd, off, cpc := in.Rs, in.Rd, uint16(in.Imm), pc
-		op = func(m *Machine, id int, s *stream) bool {
-			ea := m.readReg(s, rs) + off
-			if m.imem.Contains(ea) {
-				v := m.imem.Read(ea)
-				m.setZN(s, v)
-				m.writeReg(s, rd, v)
-				return true
-			}
-			m.blockBusEnter(id, s, cpc, ea, false, 0, rd)
-			return false
-		}
-	case isa.OpST:
-		rs, rd, off, cpc := in.Rs, in.Rd, uint16(in.Imm), pc
-		op = func(m *Machine, id int, s *stream) bool {
-			ea := m.readReg(s, rs) + off
-			data := m.readReg(s, rd)
-			if m.imem.Contains(ea) {
-				m.imem.Write(ea, data)
-				return true
-			}
-			m.blockBusEnter(id, s, cpc, ea, true, data, 0)
-			return false
-		}
-	case isa.OpLDM:
-		ea, rd := uint16(in.Imm), in.Rd
-		if !mem.NewInternal().Contains(ea) {
-			return nil, false // statically external: region breaker
-		}
-		op = func(m *Machine, id int, s *stream) bool {
-			v := m.imem.Read(ea)
-			m.setZN(s, v)
-			m.writeReg(s, rd, v)
-			return true
-		}
-	case isa.OpSTM:
-		ea, rd := uint16(in.Imm), in.Rd
-		if !mem.NewInternal().Contains(ea) {
-			return nil, false
-		}
-		op = func(m *Machine, id int, s *stream) bool {
-			m.imem.Write(ea, m.readReg(s, rd))
-			return true
-		}
-	case isa.OpTAS:
-		rs, rd, off, cpc := in.Rs, in.Rd, uint16(in.Imm), pc
-		op = func(m *Machine, id int, s *stream) bool {
-			ea := m.readReg(s, rs) + off
-			if m.imem.Contains(ea) {
-				old := m.imem.TestAndSet(ea)
-				m.setZN(s, old)
-				m.writeReg(s, rd, old)
-				return true
-			}
-			m.stats.UndefinedTAS++
-			m.blockBusEnter(id, s, cpc, ea, false, 0, rd)
-			return false
-		}
-
-	// ---- Special registers ----
-	case isa.OpMFS:
-		spec, rd, cpc := in.Spec, in.Rd, pc
-		op = func(m *Machine, id int, s *stream) bool {
-			var v uint16
-			switch spec {
-			case isa.SpecPC:
-				v = cpc
-			case isa.SpecSR:
-				v = s.sr()
-			case isa.SpecH:
-				v = s.h
-			case isa.SpecVB:
-				v = s.vb
-			case isa.SpecAWP:
-				v = uint16(s.win.AWP())
-			case isa.SpecBOS:
-				v = uint16(s.win.BOS())
-			case isa.SpecIR:
-				v = uint16(s.intr.IR())
-			case isa.SpecMR:
-				v = uint16(s.intr.MR())
-			}
-			m.writeReg(s, rd, v)
-			return true
-		}
-	case isa.OpMTS:
-		rs := in.Rs
-		switch in.Spec {
-		case isa.SpecSR:
-			op = func(m *Machine, id int, s *stream) bool {
-				s.flags = uint8(m.readReg(s, rs) & 0xF)
-				return true
-			}
-		case isa.SpecH:
-			op = func(m *Machine, id int, s *stream) bool {
-				s.h = m.readReg(s, rs)
-				return true
-			}
-		case isa.SpecVB:
-			op = func(m *Machine, id int, s *stream) bool {
-				s.vb = m.readReg(s, rs)
-				return true
-			}
-		default:
-			// PC is a computed jump; AWP/BOS relocate the window beyond
-			// the static headroom proof; IR/MR change dispatchability.
-			return nil, false
-		}
-
-	default:
-		// HALT, WAITI, SSTART, SIGNAL, CLRI, SETMR, and the transfer
-		// kinds compileBranch rejects: interleave-visible by definition.
-		return nil, false
-	}
-	return wrapSW(in, op), true
-}
-
-// wrapSW appends an instruction's post-op stack-window adjust (§3.5).
-// The session headroom checks prove the adjust cannot fault; the
-// assertion turns an engine bug into a loud panic instead of a silent
-// divergence. The adjust runs even when the base op bailed — the
-// per-cycle execute path applies SW after a wait-state entry too (the
-// instruction completed; only its successors were flushed).
-func wrapSW(in isa.Instruction, op blockOp) blockOp {
-	if in.SW == isa.SWNone {
-		return op
-	}
-	d := 1
-	if in.SW == isa.SWDec {
-		d = -1
-	}
-	return func(m *Machine, id int, s *stream) bool {
-		r := op(m, id, s)
-		if ev := s.win.Adjust(d); ev != stackwin.EventNone {
-			panic("core: stack-window fault inside a fused block session (headroom check bug)")
-		}
-		return r
-	}
 }

@@ -276,7 +276,7 @@ func TestBlockEquivChaos(t *testing.T) {
 
 // TestBlockTableStale: mutating the program store after compilation
 // must detach the table at the next session attempt instead of running
-// stale closures — and execution must continue per-cycle, still
+// stale compiled slots — and execution must continue per-cycle, still
 // equivalent.
 func TestBlockTableStale(t *testing.T) {
 	src := `
@@ -735,5 +735,46 @@ func TestBlockEquivQuiescentTicker(t *testing.T) {
 	}
 	if fast.Stats().PerStream[0].Dispatches == 0 {
 		t.Fatal("timer interrupt never dispatched; test is vacuous")
+	}
+}
+
+// TestBlockEquivStreamStart: a stream-start inside an otherwise fusible
+// run. SSTART makes a second stream ready at its EX cycle, so the
+// per-cycle machine interleaves from then on; a session must never
+// execute it (it breaks the region) or the block machine would keep
+// issuing the sole stream back-to-back and diverge.
+func TestBlockEquivStreamStart(t *testing.T) {
+	src := `
+		.org 0
+	main:
+		LDI  R0, worker
+		ADDI R1, 1
+		ADDI R2, 2
+		ADDI R3, 3
+		ADDI R4, 4
+		SSTART 1, R0
+		ADDI R1, 1
+		ADDI R2, 2
+		ADDI R3, 3
+		ADDI R4, 4
+		ADDI R5, 5
+		ADDI R6, 6
+		HALT
+	worker:
+		ADDI R0, 1
+		ADDI R1, 1
+		ADDI R2, 1
+		ADDI R3, 1
+		HALT
+	`
+	fast, ref, blk := triple(t, Config{Streams: 2}, func(m *Machine) {
+		load(t, m, src)
+		if err := m.StartStream(0, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lockstep3(t, fast, ref, blk, 200, nil)
+	if blk.BlockStats().Sessions == 0 {
+		t.Fatal("no fused session ran ahead of the stream start")
 	}
 }

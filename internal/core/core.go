@@ -127,10 +127,11 @@ type stream struct {
 	// dispatcher from injecting the same entry twice.
 	entryInFlight bool
 
-	// Cached interrupt-dispatch decision. Dispatch() is a pure function
-	// of the interrupt unit's state, and every mutation of any stream's
-	// unit advances the machine's intrEpoch, so the fetch stage only
-	// recomputes the decision when dispEpoch falls behind — the common
+	// Cached interrupt-dispatch decision (Machine.dispatch). Dispatch()
+	// is a pure function of the interrupt unit's state, and every
+	// mutation of any stream's unit advances the machine's intrEpoch, so
+	// the fast pipeline only recomputes the decision when dispEpoch falls
+	// behind (the reference pipeline recomputes it every time) — the common
 	// issue compares one machine word instead of loading the unit or
 	// re-deriving the highest pending level. Another stream's mutation
 	// also forces a recompute, which finds the same decision.
@@ -233,9 +234,12 @@ type Machine struct {
 	// batches a demoted region's probe countdown: stepBlock steps plainly
 	// for that many dispatches without re-running the entry predicate.
 	// blockIdleSkip is the escalating skip for not-sole-ready rejects
-	// (see notSoleSkip0 in block.go).
+	// (see notSoleSkip0 in block.go). inSession is set while a fused
+	// session executes: access then ends the session at an external
+	// address instead of taking the per-cycle wait-state entry.
 	gates           []regionGate
 	blockGateOff    bool
+	inSession       bool
 	blockTickBase   uint64
 	blockSkip       uint32
 	blockIdleSkip   uint32

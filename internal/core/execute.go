@@ -7,13 +7,13 @@ import (
 	"disc/internal/obs"
 )
 
-// execute performs a slot's semantics as it arrives at EX. Same-stream
-// instructions reach EX strictly in program order, so executing
-// atomically here models a machine with a perfect bypass network.
-func (m *Machine) execute(sl *slot) {
-	id := int(sl.stream)
-	s := m.streams[id]
-
+// execute performs a slot's semantics as it arrives at EX, for stream
+// id whose context is s. Same-stream instructions reach EX strictly in
+// program order, so executing atomically here models a machine with a
+// perfect bypass network. It is the machine's one EX stage: the
+// per-cycle pipelines pass their EX slot, and a fused block session
+// passes the region's compiled slot (whose stream field it ignores).
+func (m *Machine) execute(id int, s *stream, sl *slot) {
 	if sl.kind == kindIntEntry {
 		// Hardware interrupt entry: push return PC, then the old SR
 		// (with the pre-entry level), and switch to the new level.
@@ -26,11 +26,146 @@ func (m *Machine) execute(sl *slot) {
 		return
 	}
 
-	in := sl.instr
+	in := &sl.instr
 	if sl.shadow {
 		s.branchShadow--
 	}
 
+	switch in.Op {
+	// ---- Memory ----
+	case isa.OpLD:
+		ea := m.readReg(s, in.Rs) + uint16(in.Imm)
+		m.access(id, sl, s, ea, false, 0, in.Rd)
+	case isa.OpST:
+		ea := m.readReg(s, in.Rs) + uint16(in.Imm)
+		m.access(id, sl, s, ea, true, m.readReg(s, in.Rd), 0)
+	case isa.OpLDM:
+		m.access(id, sl, s, uint16(in.Imm), false, 0, in.Rd)
+	case isa.OpSTM:
+		m.access(id, sl, s, uint16(in.Imm), true, m.readReg(s, in.Rd), 0)
+	case isa.OpTAS:
+		// Test-and-set is only atomic against the zero-wait internal
+		// memory; external TAS is architecturally undefined and
+		// degrades to a plain load (counted as a fault).
+		ea := m.readReg(s, in.Rs) + uint16(in.Imm)
+		if m.imem.Contains(ea) {
+			old := m.imem.TestAndSet(ea)
+			m.setZN(s, old)
+			m.writeReg(s, in.Rd, old)
+		} else {
+			m.stats.UndefinedTAS++
+			m.access(id, sl, s, ea, false, 0, in.Rd)
+		}
+
+	// ---- Control flow (resolved here at EX; shadow already lifted) ----
+	case isa.OpJMP:
+		s.pc = uint16(in.Imm)
+	case isa.OpJR:
+		s.pc = m.readReg(s, in.Rs)
+	case isa.OpBcc:
+		if condTrue(in.Cond, s.flags) {
+			s.pc = sl.pc + 1 + uint16(in.Imm)
+		}
+		// Not taken: pc already points at sl.pc+1 (shadow blocked
+		// further fetch), so fall-through needs no action.
+	case isa.OpCALL, isa.OpCALR:
+		target := uint16(in.Imm)
+		if in.Op == isa.OpCALR {
+			target = m.readReg(s, in.Rs)
+		}
+		ev := s.win.Push(sl.pc + 1)
+		m.raiseStackEvent(id, ev)
+		s.pc = target
+	case isa.OpRET:
+		// §3.5: step AWP down over the callee's frame to the return
+		// cell, restore PC, and step once more.
+		ev := s.win.Adjust(-int(in.Imm))
+		m.raiseStackEvent(id, ev)
+		s.pc = s.win.Read(0)
+		ev = s.win.Adjust(-1)
+		m.raiseStackEvent(id, ev)
+	case isa.OpRETI:
+		sr, ev := s.win.Pop()
+		m.raiseStackEvent(id, ev)
+		ret, ev2 := s.win.Pop()
+		m.raiseStackEvent(id, ev2)
+		s.intr.Exit(uint8(sr >> isa.SRLevelShift & 0x7))
+		s.flags = uint8(sr & 0xF)
+		s.pc = ret
+
+	// ---- Stream and interrupt control ----
+	case isa.OpSSTART:
+		// Start another stream at the address held in rs. Starting an
+		// already-active stream — or one beyond the configured stream
+		// count — is ignored (the context is live, or absent).
+		if int(in.S) >= len(m.streams) {
+			m.stats.SStartIgnored++
+			break
+		}
+		t := m.streams[in.S]
+		if !t.intr.Active() && t.state == StateRun {
+			t.pc = m.readReg(s, in.Rs)
+			t.intr.Request(interrupt.Background)
+		} else {
+			m.stats.SStartIgnored++
+		}
+	case isa.OpSIGNAL:
+		// Signalling an unimplemented stream is a no-op, like raising
+		// an external interrupt line that is not bonded out.
+		if int(in.S) < len(m.streams) {
+			m.streams[in.S].intr.Request(in.N)
+		}
+	case isa.OpCLRI:
+		s.intr.Clear(in.N)
+	case isa.OpSETMR:
+		s.intr.SetMR(uint8(in.Imm))
+	case isa.OpWAITI:
+		if s.intr.Test(in.N) {
+			s.intr.Clear(in.N)
+		} else {
+			// Sleep until the bit arrives; the WAITI itself re-executes
+			// on wake-up so a preempting vectored handler returns to
+			// the join point, not past it.
+			s.state = StateIRQWait
+			s.waitBit = in.N
+			m.flushYounger(id)
+			s.pc = sl.pc
+			if m.rec != nil {
+				m.emitState(id, obs.StreamRun, obs.StreamIRQWait)
+			}
+		}
+	case isa.OpHALT:
+		s.intr.Clear(interrupt.Background)
+		if !s.intr.Active() {
+			m.flushYounger(id)
+			s.pc = sl.pc + 1
+			if m.rec != nil {
+				m.emitState(id, obs.StreamRun, obs.StreamHalted)
+			}
+		}
+	case isa.OpMFS:
+		m.writeReg(s, in.Rd, m.readSpecial(sl, s))
+	case isa.OpMTS:
+		m.writeSpecial(id, sl, s, m.readReg(s, in.Rs))
+	default:
+		m.alu(s, in) // NOP..LDHI
+	}
+
+	// Post-instruction stack-window adjust (§3.5).
+	switch in.SW {
+	case isa.SWInc:
+		m.raiseStackEvent(id, s.win.Adjust(1))
+	case isa.SWDec:
+		m.raiseStackEvent(id, s.win.Adjust(-1))
+	}
+}
+
+// alu performs the register-only instructions, NOP through LDHI. It is
+// kept apart from execute, and small, so that the register-file reads
+// and writes inline into it: Go does not inline them into a function
+// the size of execute, and a fused block session spends most of its
+// time here.
+func (m *Machine) alu(s *stream, in *isa.Instruction) {
 	switch in.Op {
 	case isa.OpNOP:
 
@@ -156,137 +291,13 @@ func (m *Machine) execute(sl *slot) {
 		m.setZN(s, r)
 		m.writeReg(s, in.Rd, r)
 
-	// ---- Memory ----
-	case isa.OpLD:
-		ea := m.readReg(s, in.Rs) + uint16(in.Imm)
-		m.access(sl, s, ea, false, 0, in.Rd)
-	case isa.OpST:
-		ea := m.readReg(s, in.Rs) + uint16(in.Imm)
-		m.access(sl, s, ea, true, m.readReg(s, in.Rd), 0)
-	case isa.OpLDM:
-		m.access(sl, s, uint16(in.Imm), false, 0, in.Rd)
-	case isa.OpSTM:
-		m.access(sl, s, uint16(in.Imm), true, m.readReg(s, in.Rd), 0)
-	case isa.OpTAS:
-		// Test-and-set is only atomic against the zero-wait internal
-		// memory; external TAS is architecturally undefined and
-		// degrades to a plain load (counted as a fault).
-		ea := m.readReg(s, in.Rs) + uint16(in.Imm)
-		if m.imem.Contains(ea) {
-			old := m.imem.TestAndSet(ea)
-			m.setZN(s, old)
-			m.writeReg(s, in.Rd, old)
-		} else {
-			m.stats.UndefinedTAS++
-			m.access(sl, s, ea, false, 0, in.Rd)
-		}
-
-	// ---- Control flow (resolved here at EX; shadow already lifted) ----
-	case isa.OpJMP:
-		s.pc = uint16(in.Imm)
-	case isa.OpJR:
-		s.pc = m.readReg(s, in.Rs)
-	case isa.OpBcc:
-		if condTrue(in.Cond, s.flags) {
-			s.pc = sl.pc + 1 + uint16(in.Imm)
-		}
-		// Not taken: pc already points at sl.pc+1 (shadow blocked
-		// further fetch), so fall-through needs no action.
-	case isa.OpCALL, isa.OpCALR:
-		target := uint16(in.Imm)
-		if in.Op == isa.OpCALR {
-			target = m.readReg(s, in.Rs)
-		}
-		ev := s.win.Push(sl.pc + 1)
-		m.raiseStackEvent(id, ev)
-		s.pc = target
-	case isa.OpRET:
-		// §3.5: step AWP down over the callee's frame to the return
-		// cell, restore PC, and step once more.
-		ev := s.win.Adjust(-int(in.Imm))
-		m.raiseStackEvent(id, ev)
-		s.pc = s.win.Read(0)
-		ev = s.win.Adjust(-1)
-		m.raiseStackEvent(id, ev)
-	case isa.OpRETI:
-		sr, ev := s.win.Pop()
-		m.raiseStackEvent(id, ev)
-		ret, ev2 := s.win.Pop()
-		m.raiseStackEvent(id, ev2)
-		s.intr.Exit(uint8(sr >> isa.SRLevelShift & 0x7))
-		s.flags = uint8(sr & 0xF)
-		s.pc = ret
-
-	// ---- Stream and interrupt control ----
-	case isa.OpSSTART:
-		// Start another stream at the address held in rs. Starting an
-		// already-active stream — or one beyond the configured stream
-		// count — is ignored (the context is live, or absent).
-		if int(in.S) >= len(m.streams) {
-			m.stats.SStartIgnored++
-			break
-		}
-		t := m.streams[in.S]
-		if !t.intr.Active() && t.state == StateRun {
-			t.pc = m.readReg(s, in.Rs)
-			t.intr.Request(interrupt.Background)
-		} else {
-			m.stats.SStartIgnored++
-		}
-	case isa.OpSIGNAL:
-		// Signalling an unimplemented stream is a no-op, like raising
-		// an external interrupt line that is not bonded out.
-		if int(in.S) < len(m.streams) {
-			m.streams[in.S].intr.Request(in.N)
-		}
-	case isa.OpCLRI:
-		s.intr.Clear(in.N)
-	case isa.OpSETMR:
-		s.intr.SetMR(uint8(in.Imm))
-	case isa.OpWAITI:
-		if s.intr.Test(in.N) {
-			s.intr.Clear(in.N)
-		} else {
-			// Sleep until the bit arrives; the WAITI itself re-executes
-			// on wake-up so a preempting vectored handler returns to
-			// the join point, not past it.
-			s.state = StateIRQWait
-			s.waitBit = in.N
-			m.flushYounger(id)
-			s.pc = sl.pc
-			if m.rec != nil {
-				m.emitState(id, obs.StreamRun, obs.StreamIRQWait)
-			}
-		}
-	case isa.OpHALT:
-		s.intr.Clear(interrupt.Background)
-		if !s.intr.Active() {
-			m.flushYounger(id)
-			s.pc = sl.pc + 1
-			if m.rec != nil {
-				m.emitState(id, obs.StreamRun, obs.StreamHalted)
-			}
-		}
-	case isa.OpMFS:
-		m.writeReg(s, in.Rd, m.readSpecial(sl, s))
-	case isa.OpMTS:
-		m.writeSpecial(sl, s, m.readReg(s, in.Rs))
-	}
-
-	// Post-instruction stack-window adjust (§3.5).
-	switch in.SW {
-	case isa.SWInc:
-		m.raiseStackEvent(id, s.win.Adjust(1))
-	case isa.SWDec:
-		m.raiseStackEvent(id, s.win.Adjust(-1))
 	}
 }
 
 // access routes a data access: internal memory completes in the same
 // cycle; anything at or above isa.ExternalBase goes through the ABI
 // with the full §3.6.1 wait-state protocol.
-func (m *Machine) access(sl *slot, s *stream, ea uint16, write bool, data uint16, dest isa.Reg) {
-	id := int(sl.stream)
+func (m *Machine) access(id int, sl *slot, s *stream, ea uint16, write bool, data uint16, dest isa.Reg) {
 	if m.imem.Contains(ea) {
 		if write {
 			m.imem.Write(ea, data)
@@ -296,6 +307,11 @@ func (m *Machine) access(sl *slot, s *stream, ea uint16, write bool, data uint16
 			m.setZN(s, v)
 			m.writeReg(s, dest, v)
 		}
+		return
+	}
+	if m.inSession {
+		// A fused block session ends at its first external access.
+		m.blockBusEnter(id, s, sl.pc, ea, write, data, dest)
 		return
 	}
 	if m.bus.Busy() {
@@ -363,8 +379,7 @@ func (m *Machine) readSpecial(sl *slot, s *stream) uint16 {
 
 // writeSpecial implements MTS. Writing PC is a computed jump and was
 // treated as a control transfer at issue.
-func (m *Machine) writeSpecial(sl *slot, s *stream, v uint16) {
-	id := int(sl.stream)
+func (m *Machine) writeSpecial(id int, sl *slot, s *stream, v uint16) {
 	switch sl.instr.Spec {
 	case isa.SpecPC:
 		s.pc = v

@@ -106,7 +106,7 @@ func (m *Machine) Step() {
 		// harmless.
 		exs := m.streams[ex.stream]
 		preState, preShadow, preEpoch := exs.state, exs.branchShadow, m.intrEpoch
-		m.execute(ex)
+		m.execute(int(ex.stream), exs, ex)
 		if exs.state != preState || exs.branchShadow != preShadow || m.intrEpoch != preEpoch {
 			m.refreshReady(int(ex.stream))
 		}
@@ -155,7 +155,7 @@ func (m *Machine) stepReference() {
 
 	ex := m.stage(isa.PipeDepth - 2)
 	if ex.valid {
-		m.execute(ex)
+		m.execute(int(ex.stream), m.streams[ex.stream], ex)
 	}
 
 	id, _, ok := m.sch.Next(latched)
@@ -346,12 +346,9 @@ func (m *Machine) issue(id int) {
 	// entry micro-op flows down the pipe and performs the context push
 	// at EX, in order with the stream's older instructions.
 	if !resumeJoin {
-		if s.dispEpoch != m.intrEpoch {
-			s.dispBit, s.dispOK = s.intr.Dispatch()
-			s.dispEpoch = m.intrEpoch
-		}
-		if bit, ok := s.dispBit, s.dispOK; ok && !s.entryInFlight {
-			retPC := s.pc
+		m.dispatch(s)
+		if s.dispOK && !s.entryInFlight {
+			bit, retPC := s.dispBit, s.pc
 			wasWait := s.state == StateIRQWait
 			s.pc = interrupt.Vector(s.vb, uint8(id), bit)
 			s.state = StateRun
@@ -429,6 +426,27 @@ func (m *Machine) issue(id int) {
 	// on, so the mask bit is left exactly as it was.
 	s.issued++
 	m.stats.Issued++
+}
+
+// dispatch brings stream s's cached interrupt-dispatch decision
+// (dispBit, dispOK: the bit s.intr.Dispatch would vector and whether it
+// would) up to date. The cache is recomputed only when some interrupt
+// unit moved since (the machine-wide intrEpoch); the reference pipeline
+// recomputes it every time, so the lockstep checks the cache instead of
+// sharing it. Small enough to inline into issue.
+func (m *Machine) dispatch(s *stream) {
+	if s.dispEpoch != m.intrEpoch || m.cfg.Reference {
+		m.refreshDispatch(s)
+	}
+}
+
+// refreshDispatch recomputes stream s's cached dispatch decision. Kept
+// out of line so dispatch stays small enough to inline.
+//
+//go:noinline
+func (m *Machine) refreshDispatch(s *stream) {
+	s.dispBit, s.dispOK = s.intr.Dispatch()
+	s.dispEpoch = m.intrEpoch
 }
 
 // decodeLive is the reference path's fetch: the 24-bit word straight

@@ -9,6 +9,7 @@ import (
 	"disc/internal/analysis"
 	"disc/internal/asm"
 	"disc/internal/blockc"
+	"disc/internal/board"
 	"disc/internal/bus"
 	"disc/internal/core"
 	"disc/internal/fault"
@@ -95,52 +96,16 @@ type boardSpec struct {
 	Fault       map[string]fault.DeviceConfig
 }
 
-// boardDevices names the standard peripheral board, in attach order —
-// the same board discsim wires, so snapshots move between the two.
-var boardDevices = []string{"extram", "timer0", "uart0", "gpio0", "adc0", "step0"}
-
-// attachBoard populates the bus with the standard board, wrapping any
+// attachBoard populates the bus with the standard board — the same
+// board discsim wires, so snapshots move between the two — wrapping any
 // device named in spec.Fault with its fault policy.
 func attachBoard(m *core.Machine, spec boardSpec) error {
-	wrap := func(name string, d bus.Device) bus.Device {
+	return board.Attach(m, spec.ExtramWaits, func(name string, d bus.Device) bus.Device {
 		if cfg, ok := spec.Fault[name]; ok {
 			return fault.Wrap(d, cfg)
 		}
 		return d
-	}
-	b := m.Bus()
-	type devAt struct {
-		base uint16
-		size uint16
-		dev  bus.Device
-	}
-	devs := []devAt{
-		{isa.ExternalBase, 0x1000, wrap("extram", bus.NewRAM("extram", 0x1000, spec.ExtramWaits))},
-		{isa.IOBase + 0x00, 4, wrap("timer0", bus.NewTimer("timer0", 2, m.RaiseIRQ, 0, 4))},
-		{isa.IOBase + 0x10, 2, wrap("uart0", bus.NewUART("uart0", 6))},
-		{isa.IOBase + 0x20, 8, wrap("gpio0", bus.NewGPIO("gpio0", 1))},
-		{isa.IOBase + 0x30, 4, wrap("adc0", bus.NewADC("adc0", 4, 25, nil))},
-		{isa.IOBase + 0x40, 2, wrap("step0", bus.NewStepper("step0", 3))},
-	}
-	for _, d := range devs {
-		if err := b.Attach(d.base, d.size, d.dev); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// boardRanges mirrors attachBoard for the static analyzer, as in
-// discsim: every externally addressable span with its wait states.
-func boardRanges(ramWaits int) []analysis.BusRange {
-	return []analysis.BusRange{
-		{Base: isa.ExternalBase, Size: 0x1000, Wait: ramWaits},
-		{Base: isa.IOBase + 0x00, Size: 4, Wait: 2},
-		{Base: isa.IOBase + 0x10, Size: 2, Wait: 6},
-		{Base: isa.IOBase + 0x20, Size: 8, Wait: 1},
-		{Base: isa.IOBase + 0x30, Size: 4, Wait: 4},
-		{Base: isa.IOBase + 0x40, Size: 2, Wait: 3},
-	}
+	})
 }
 
 // Session is one hosted simulation. The fields below the worker index
@@ -175,13 +140,14 @@ type Session struct {
 }
 
 func boardSpecOf(req CreateRequest) (boardSpec, error) {
-	spec := boardSpec{ExtramWaits: 4}
+	spec := boardSpec{ExtramWaits: board.DefaultExtramWaits}
 	if req.ExtramWaits != nil {
 		spec.ExtramWaits = *req.ExtramWaits
 	}
 	if len(req.Fault) > 0 {
-		known := make(map[string]bool, len(boardDevices))
-		for _, n := range boardDevices {
+		names := board.Names()
+		known := make(map[string]bool, len(names))
+		for _, n := range names {
 			known[n] = true
 		}
 		spec.Fault = make(map[string]fault.DeviceConfig, len(req.Fault))
@@ -189,7 +155,7 @@ func boardSpecOf(req CreateRequest) (boardSpec, error) {
 		for name, cfg := range req.Fault {
 			if !known[name] {
 				return boardSpec{}, fmt.Errorf("serve: fault policy names unknown device %q (board: %s)",
-					name, strings.Join(boardDevices, ", "))
+					name, strings.Join(names, ", "))
 			}
 			spec.Fault[name] = cfg.device()
 		}
@@ -308,7 +274,7 @@ func buildSession(id string, worker int, req CreateRequest) (*Session, error) {
 			VectorBase: cfg.VectorBase,
 			Streams:    cfg.Streams,
 			BusTimeout: req.BusTimeout,
-			BusRanges:  boardRanges(spec.ExtramWaits),
+			BusRanges:  board.Ranges(spec.ExtramWaits),
 		}
 		// The returned analysis report is advisory here; the table is
 		// attached (or empty) either way, and the session stays exact.
