@@ -1,6 +1,7 @@
 package disc_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"disc/internal/serve"
 )
 
 // goRun executes a command of this module via the go tool; the CLIs
@@ -338,5 +341,86 @@ func main() { answer = 6 * 7; }
 	asmOut := goRun(t, "./cmd/minicc", src)
 	if !strings.Contains(asmOut, "mc_main:") {
 		t.Fatalf("minicc assembly output malformed:\n%s", asmOut)
+	}
+}
+
+// TestCLIDiscsimLintChecksBoard: discsim -lint analyzes the program
+// against the board it attaches, so an external load no device answers
+// is refused, as disclint refuses it given the board's -bus map.
+func TestCLIDiscsimLintChecksBoard(t *testing.T) {
+	src := writeTemp(t, "unmapped.s", `
+main:
+    LI R7, 0x2000
+    LD R6, [R7+0]
+    HALT
+`)
+	out, code := goRunStatus(t, "./cmd/discsim", "-lint", "-streams", "1", "-start", "0=main", src)
+	if code == 0 {
+		t.Fatalf("discsim -lint accepted a provably unmapped load:\n%s", out)
+	}
+	if !strings.Contains(out, "provably unmapped") {
+		t.Fatalf("refusal does not name the unmapped access:\n%s", out)
+	}
+}
+
+// checkpointProgram keeps the external RAM (stream 0) and the timer
+// (stream 1) busy, so a snapshot carries device and bus state.
+const checkpointProgram = `
+s0:
+    LI   R1, 0x0400
+loop0:
+    LD   R2, [R1+0]
+    ADDI R2, 1
+    ST   R2, [R1+0]
+    JMP  loop0
+s1:
+    LI   R1, 0xF000
+    LDI  R2, 50
+    ST   R2, [R1+1]
+    ST   R2, [R1+0]
+    LDI  R2, 1
+    ST   R2, [R1+2]
+loop1:
+    LD   R3, [R1+0]
+    LD   R4, [R1+3]
+    ST   R4, [R1+3]
+    JMP  loop1
+`
+
+// TestCLIDiscsimCheckpointResumesInServe: both tools build the standard
+// board through board.Spec, so a discsim checkpoint restored in
+// discserve continues byte-identically to discsim running on.
+func TestCLIDiscsimCheckpointResumesInServe(t *testing.T) {
+	src := writeTemp(t, "ckpt.s", checkpointProgram)
+	dir := t.TempDir()
+	run := func(cycles, out string) []byte {
+		path := filepath.Join(dir, out)
+		goRun(t, "./cmd/discsim", "-streams", "2", "-start", "0=s0,1=s1", "-cycles", cycles, "-checkpoint-out", path, src)
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	mid, want := run("1000", "a.snap"), run("1500", "b.snap")
+
+	s := serve.New(serve.Config{Workers: 1})
+	defer s.Close()
+	info, err := s.Create(serve.CreateRequest{Snapshot: mid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Cycle != 1000 {
+		t.Fatalf("restored at cycle %d, want 1000", info.Cycle)
+	}
+	if res, err := s.Step(info.ID, 500); err != nil || res.CyclesRun != 500 {
+		t.Fatalf("step: %+v, %v", res, err)
+	}
+	got, err := s.SnapshotBytes(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("discserve continuation (%d bytes) differs from discsim's (%d bytes)", len(got), len(want))
 	}
 }

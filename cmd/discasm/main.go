@@ -22,6 +22,7 @@ import (
 
 	"disc/internal/analysis"
 	"disc/internal/asm"
+	"disc/internal/board"
 )
 
 func main() {
@@ -39,7 +40,7 @@ func main() {
 	}
 	var hooks []asm.Hook
 	if *lint {
-		hooks = append(hooks, analysis.Gate(analysis.Options{VectorBase: 0x0200}))
+		hooks = append(hooks, analysis.Gate(analysis.Options{VectorBase: board.Default().Config.VectorBase}))
 	}
 	im, err := asm.AssembleWith(string(src), hooks...)
 	if err != nil {

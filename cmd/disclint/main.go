@@ -48,6 +48,7 @@ import (
 
 	"disc/internal/analysis"
 	"disc/internal/asm"
+	"disc/internal/board"
 )
 
 func main() {
@@ -82,8 +83,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("disclint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	entries := fs.String("entry", "", "labels/addresses treated as strict stream entries")
-	vb := fs.Uint("vb", 0x0200, "interrupt vector base")
-	streams := fs.Int("streams", 4, "streams sizing the vector table")
+	def := board.Default()
+	vb := fs.Uint("vb", uint(def.Config.VectorBase), "interrupt vector base")
+	streams := fs.Int("streams", def.Config.Streams, "streams sizing the vector table")
 	novec := fs.Bool("novec", false, "skip the interrupt-vector pass")
 	depth := fs.Int("depth", 0, "physical window depth for the spill advisory (0: default, <0: off)")
 	busMap := fs.String("bus", "", "bus device map, base:size:wait comma list")
@@ -108,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	path := fs.Arg(0)
-	im, err := load(path)
+	im, err := asm.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(stderr, "disclint:", err)
 		return 1
@@ -287,18 +289,6 @@ func render(path string, f analysis.Finding) string {
 		loc += " " + f.Label
 	}
 	return fmt.Sprintf("%s: %s: [%s] %s (at %s)", pos, f.Severity, f.Pass, f.Msg, loc)
-}
-
-// load assembles .s sources or parses .hex images, as discsim does.
-func load(path string) (*asm.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(path, ".hex") {
-		return asm.DecodeHex(string(data))
-	}
-	return asm.Assemble(string(data))
 }
 
 // parseAddr accepts 0x-hex or decimal program addresses.

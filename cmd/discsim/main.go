@@ -35,7 +35,8 @@
 //	-vcd file         with -trace: write the trace as a VCD waveform
 //	-profile n        list the n hottest instructions after the run
 //	-lint             refuse programs with error-severity findings from
-//	                  the internal/analysis static checks
+//	                  the internal/analysis static checks, run against
+//	                  the machine and board the program will run on
 //	-block-engine     pre-compile statically event-free instruction runs
 //	                  — including fate-proven branches and bridged gaps
 //	                  — into fused block sessions (cycle-exact, DESIGN.md
@@ -93,7 +94,8 @@ import (
 )
 
 func main() {
-	streams := flag.Int("streams", 4, "number of instruction streams")
+	def := board.Default()
+	streams := flag.Int("streams", def.Config.Streams, "number of instruction streams")
 	start := flag.String("start", "0=0", "stream=label-or-address list")
 	cycles := flag.Int("cycles", 0, "cycles to run (0: until idle, bounded by -max-cycles)")
 	maxCycles := flag.Int("max-cycles", 2_000_000, "hard cycle budget for until-idle runs (0: unlimited)")
@@ -101,8 +103,8 @@ func main() {
 	busTimeout := flag.Int("bus-timeout", 0, "ABI bounded-wait budget in cycles (0: wait forever)")
 	trapBusFault := flag.Bool("trap-busfault", false, "raise IR bit 5 on the issuing stream when an external access fails")
 	shares := flag.String("shares", "", "scheduler partition weights, e.g. 3,1,1,1")
-	vb := flag.Uint("vb", 0x0200, "interrupt vector base")
-	extram := flag.Int("extram", board.DefaultExtramWaits, "external RAM wait states")
+	vb := flag.Uint("vb", uint(def.Config.VectorBase), "interrupt vector base")
+	extram := flag.Int("extram", def.RAMWaits, "external RAM wait states")
 	traceN := flag.Int("trace", 0, "render an n-cycle pipeline trace")
 	traceOut := flag.String("trace-out", "", "write the run as Chrome trace-event JSON (Perfetto) to this file")
 	traceBuf := flag.Int("trace-buf", obs.DefaultCapacity, "flight-recorder ring capacity in events")
@@ -139,49 +141,51 @@ func main() {
 	// A resumed run takes its machine geometry from the snapshot, not
 	// the flags: everything below (the lint gate, metrics sizing, block
 	// compilation) must see the restored configuration.
+	spec := board.Spec{
+		Config:     core.Config{Streams: *streams, VectorBase: uint16(*vb), TrapBusFaults: *trapBusFault},
+		BusTimeout: *busTimeout,
+		RAMWaits:   *extram,
+	}
 	var resumed *core.Snapshot
+	starts := map[int]string{}
 	if *resume != "" {
-		s, err := snap.Load(*resume)
-		if err != nil {
+		if resumed, err = snap.Load(*resume); err != nil {
 			fatal(err)
 		}
-		resumed = s
-		*streams = s.Cfg.Streams
-		*vb = uint(s.Cfg.VectorBase)
-		*trapBusFault = s.Cfg.TrapBusFaults
-		*busTimeout = s.BusTimeout
+		spec = spec.Resume(resumed)
+	} else {
+		if *shares != "" {
+			for _, f := range strings.Split(*shares, ",") {
+				v, err := strconv.Atoi(strings.TrimSpace(f))
+				if err != nil {
+					fatal(fmt.Errorf("bad share %q", f))
+				}
+				spec.Config.Shares = append(spec.Config.Shares, v)
+			}
+		}
+		for _, ent := range strings.Split(*start, ",") {
+			parts := strings.SplitN(strings.TrimSpace(ent), "=", 2)
+			if len(parts) != 2 {
+				fatal(fmt.Errorf("bad -start entry %q", ent))
+			}
+			sid, err := strconv.Atoi(parts[0])
+			if err != nil {
+				fatal(fmt.Errorf("bad stream in %q", ent))
+			}
+			starts[sid] = parts[1]
+		}
 	}
 
 	var hooks []asm.Hook
 	if *lint {
-		hooks = append(hooks, analysis.Gate(analysis.Options{
-			VectorBase: uint16(*vb),
-			Streams:    *streams,
-		}))
+		hooks = append(hooks, analysis.Gate(spec.Analysis()))
 	}
-	im, err := loadImage(flag.Arg(0), hooks...)
+	im, err := asm.ReadFile(flag.Arg(0), hooks...)
 	if err != nil {
 		fatal(err)
 	}
-
-	cfg := core.Config{Streams: *streams, VectorBase: uint16(*vb), TrapBusFaults: *trapBusFault}
-	if resumed != nil {
-		cfg = resumed.Cfg
-	} else if *shares != "" {
-		for _, f := range strings.Split(*shares, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				fatal(fmt.Errorf("bad share %q", f))
-			}
-			cfg.Shares = append(cfg.Shares, v)
-		}
-	}
-	m, err := core.New(cfg)
+	m, err := spec.New()
 	if err != nil {
-		fatal(err)
-	}
-	m.Bus().SetTimeout(*busTimeout)
-	if err := board.Attach(m, *extram, nil); err != nil {
 		fatal(err)
 	}
 	// Attach the flight recorder before any stream starts, so even the
@@ -191,7 +195,7 @@ func main() {
 	if *traceOut != "" || *metrics {
 		rec = obs.NewRecorder(*traceBuf)
 		if *metrics {
-			met = rec.EnableMetrics(*streams)
+			met = rec.EnableMetrics(spec.Config.Streams)
 		}
 		m.SetRecorder(rec)
 		// From here on every exit path — the clean end of main, fatal(),
@@ -205,46 +209,21 @@ func main() {
 			return ferr
 		}
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			fatal(err)
-		}
+	if err := im.Load(m, starts); err != nil {
+		fatal(err)
 	}
 	if resumed != nil {
 		// The snapshot carries the whole machine — program store
-		// included, so the image load above only mattered for symbol
-		// resolution — and the streams resume exactly where they were.
+		// included, so the image mattered only for symbol resolution —
+		// and the streams resume exactly where they were.
 		if err := m.Restore(resumed); err != nil {
 			fatal(err)
-		}
-	} else {
-		for _, spec := range strings.Split(*start, ",") {
-			parts := strings.SplitN(strings.TrimSpace(spec), "=", 2)
-			if len(parts) != 2 {
-				fatal(fmt.Errorf("bad -start entry %q", spec))
-			}
-			sid, err := strconv.Atoi(parts[0])
-			if err != nil {
-				fatal(fmt.Errorf("bad stream in %q", spec))
-			}
-			addr, err := resolve(im, parts[1])
-			if err != nil {
-				fatal(err)
-			}
-			if err := m.StartStream(sid, addr); err != nil {
-				fatal(err)
-			}
 		}
 	}
 	if *blockEngine {
 		// Compile after the image is loaded: the table is keyed to the
 		// program store's mutation version and goes stale on reload.
-		tbl, _ := blockc.Attach(m, im, analysis.Options{
-			VectorBase: uint16(*vb),
-			Streams:    *streams,
-			BusTimeout: *busTimeout,
-			BusRanges:  board.Ranges(*extram),
-		})
+		tbl, _ := blockc.Attach(m, im, spec.Analysis())
 		fmt.Fprintf(os.Stderr, "discsim: block engine: %d instructions compiled into %d fused regions (%d planned but unqualified)\n",
 			tbl.Compiled, tbl.Regions, tbl.Skipped)
 	}
@@ -275,7 +254,7 @@ func main() {
 			fatal(errors.New("-checkpoint-out cannot be combined with -break/-watch"))
 		}
 		if *breakAt != "" {
-			addr, err := resolve(im, *breakAt)
+			addr, err := im.Resolve(*breakAt)
 			if err != nil {
 				fatal(err)
 			}
@@ -284,7 +263,7 @@ func main() {
 			}
 		}
 		if *watch != "" {
-			addr, err := resolve(im, *watch)
+			addr, err := im.Resolve(*watch)
 			if err != nil {
 				fatal(err)
 			}
@@ -422,44 +401,6 @@ func armSignals() {
 		signal.Stop(ch)
 		signal.Reset(syscall.SIGINT, syscall.SIGTERM)
 	}()
-}
-
-// loadImage assembles .s sources or parses .hex images, running any
-// load gates (e.g. -lint) over the result either way.
-func loadImage(path string, hooks ...asm.Hook) (*asm.Image, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(path, ".hex") {
-		im, err := asm.DecodeHex(string(data))
-		if err != nil {
-			return nil, err
-		}
-		for _, h := range hooks {
-			if err := h(im); err != nil {
-				return nil, err
-			}
-		}
-		return im, nil
-	}
-	return asm.AssembleWith(string(data), hooks...)
-}
-
-// resolve turns a label or numeric literal into a program address.
-func resolve(im *asm.Image, s string) (uint16, error) {
-	if v, ok := im.Symbol(s); ok {
-		return v, nil
-	}
-	base := 10
-	if strings.HasPrefix(s, "0x") {
-		base, s = 16, s[2:]
-	}
-	v, err := strconv.ParseUint(s, base, 16)
-	if err != nil {
-		return 0, fmt.Errorf("start %q: not a label or address", s)
-	}
-	return uint16(v), nil
 }
 
 func parseRange(s string) (uint16, uint16, error) {

@@ -300,9 +300,7 @@ poll:
 			bg += fmt.Sprintf("    ADDI R%d, 1\n", i%6)
 		}
 		src += ".org 0x100\nbg:\n" + bg + "    JMP bg\n"
-		load(m, src)
-		m.StartStream(0, 0)
-		m.StartStream(1, 0x100)
+		load(m, src, map[int]string{0: "0", 1: "bg"})
 		const window = 60000
 		m.Run(window)
 		st := m.Stats()
@@ -461,11 +459,10 @@ taskB:` + strings.ReplaceAll(taskPair(1, "BDONE", "    HALT\n"), "LBL", "b") + `
 ` + asmlib.Executive
 
 	soft := core.MustNew(core.Config{Streams: 1})
-	im := load(soft, softSrc)
+	im := load(soft, softSrc, map[int]string{0: "0"})
 	taskB, _ := im.Symbol("taskB")
 	soft.Internal().Write(0x20+9+6, 32) // TCB1 AWP
 	soft.Internal().Write(0x20+9+7, taskB)
-	soft.StartStream(0, 0)
 	softCycles, idle := soft.RunUntilIdle(1_000_000)
 	if !idle {
 		fatal(fmt.Errorf("softswitch: executive did not terminate"))
@@ -492,9 +489,7 @@ hb: LDM R1, [CNT1]
     HALT
 `
 	hard := core.MustNew(core.Config{Streams: 2})
-	load(hard, hardSrc)
-	hard.StartStream(0, 0)
-	hard.StartStream(1, 0x100)
+	load(hard, hardSrc, map[int]string{0: "0", 1: "0x100"})
 	hardCycles, idle := hard.RunUntilIdle(1_000_000)
 	if !idle {
 		fatal(fmt.Errorf("softswitch: hardware run did not terminate"))
@@ -669,10 +664,7 @@ d: ADDI R0, 1
 
 func fourStreamMachine() *core.Machine {
 	m := core.MustNew(core.Config{Streams: 4})
-	load(m, fourLoops)
-	for i, base := range []uint16{0, 0x100, 0x200, 0x300} {
-		m.StartStream(i, base)
-	}
+	load(m, fourLoops, map[int]string{0: "0", 1: "0x100", 2: "0x200", 3: "0x300"})
 	return m
 }
 
@@ -727,11 +719,7 @@ f3:   SUBI R0, 1
       BNE f3
       HALT
 `
-	load(m, src)
-	m.StartStream(0, 0)
-	m.StartStream(1, 0x400)
-	m.StartStream(2, 0x500)
-	m.StartStream(3, 0x600)
+	load(m, src, map[int]string{0: "0", 1: "0x400", 2: "0x500", 3: "0x600"})
 	series := trace.ThroughputSeries(m, 16, 100)
 	fmt.Println(trace.RenderThroughput(series))
 	finish()
@@ -751,8 +739,7 @@ fn: NOP+            ; allocate a local above the return address
     LDI  R0, 0x33
     RET  1
 `
-	load(m, src)
-	m.StartStream(0, 0)
+	load(m, src, map[int]string{0: "0"})
 	// Print the window every time AWP moves — the Figure 3.5 movements.
 	prev := m.WindowFile(0).AWP()
 	show := func(tag string) {
@@ -787,8 +774,7 @@ bg: ADDI R0, 1
     RETI
 `
 	m := core.MustNew(core.Config{Streams: 2, VectorBase: 0x200})
-	load(m, src)
-	m.StartStream(0, 0)
+	load(m, src, map[int]string{0: "0"})
 	m.Run(20)
 	samples, _, err := rt.MeasureDispatchLatency(m, 1, 3, 200, 100)
 	if err != nil {
@@ -934,8 +920,7 @@ sl:  SUBI R4, 1
      RETI
 `
 	m := core.MustNew(core.Config{Streams: 3, VectorBase: 0x200})
-	load(m, src)
-	m.StartStream(0, 0)
+	load(m, src, map[int]string{0: "0"})
 	tasks := []rt.PeriodicTask{
 		{Name: "fast", Stream: 1, Bit: 3, Period: 200, Deadline: 80, AckAddr: 0x10},
 		{Name: "slow", Stream: 2, Bit: 4, Period: 1500, Deadline: 1200, AckAddr: 0x11},
@@ -974,16 +959,15 @@ func extraIsolation() {
 		res.BusFaults.FCI(1))
 }
 
-// load assembles src into m's program memory.
-func load(m *core.Machine, src string) *asm.Image {
+// load assembles src into m's program memory and starts the streams in
+// starts (stream -> label or address).
+func load(m *core.Machine, src string, starts map[int]string) *asm.Image {
 	im, err := asm.Assemble(src)
 	if err != nil {
 		fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			fatal(err)
-		}
+	if err := im.Load(m, starts); err != nil {
+		fatal(err)
 	}
 	return im
 }

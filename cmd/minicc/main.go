@@ -52,12 +52,9 @@ func main() {
 		fatal(fmt.Errorf("internal error: compiler output does not assemble: %w", err))
 	}
 	m := core.MustNew(core.Config{Streams: 1})
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			fatal(err)
-		}
+	if err := im.Load(m, map[int]string{0: "0"}); err != nil {
+		fatal(err)
 	}
-	m.StartStream(0, 0)
 	n, idle := m.RunUntilIdle(*cycles)
 	if !idle {
 		fatal(fmt.Errorf("program did not halt within %d cycles", *cycles))

@@ -31,8 +31,7 @@ type mutant struct {
 	file string // relative to the module root
 	old  string // must occur exactly once in file
 	new  string
-	pkg  string // package whose tests run
-	run  string // -run pattern: the tests that must fail
+	run  string // -run pattern: the tests of file's package that must fail
 }
 
 var table = []mutant{
@@ -44,7 +43,6 @@ var table = []mutant{
 		file: "internal/core/step.go",
 		old:  "\tif s.dispEpoch != m.intrEpoch || m.cfg.Reference {\n",
 		new:  "\tif m.cfg.Reference {\n",
-		pkg:  "./internal/core",
 		run:  "^TestEquiv",
 	},
 	{
@@ -54,8 +52,73 @@ var table = []mutant{
 		file: "internal/core/block.go",
 		old:  "\tcase isa.OpLD, isa.OpST, isa.OpTAS, isa.OpMFS:\n",
 		new:  "\tcase isa.OpLD, isa.OpST, isa.OpTAS, isa.OpMFS, isa.OpSSTART:\n",
-		pkg:  "./internal/core",
 		run:  "^(TestBlockEquiv|FuzzStepEquiv)",
+	},
+	{
+		// The analyzer's view of the standard board loses its device
+		// map, so the -lint gate and the block engines stop seeing
+		// provably-unmapped accesses and the board's wait states.
+		name: "spec-analysis-drops-busranges",
+		file: "internal/board/board.go",
+		old:  "\t\tBusRanges:  Ranges(s.RAMWaits),\n",
+		new:  "",
+		run:  "^TestAnalysisFlagsUnmapped$",
+	},
+	{
+		// The plan memo serves a plan analyzed against another bus map.
+		name: "plan-memo-ignores-busranges",
+		file: "internal/blockc/blockc.go",
+		old:  "\t\tslices.Equal(a.BusRanges, b.BusRanges) &&\n",
+		new:  "",
+		run:  "^TestAttachMemoKey$",
+	},
+	{
+		// The guard's IR fingerprint is not re-taken on a cycle that
+		// issued, so the next barren cycle whose epoch moves compares
+		// against a stale word and counts an old request as progress.
+		name: "stale-fingerprint-baseline",
+		file: "internal/core/liveness.go",
+		old:  "\t\t\t\tg.irWords = m.irFingerprint()\n",
+		new:  "",
+		run:  "^TestGuardStepNMatchesPerCycle$",
+	},
+	{
+		// A barren cycle counts as progress whenever the interrupt
+		// epoch moved, even when no IR word changed (a mask or level
+		// write), so a wedge is diagnosed late.
+		name: "progressed-trusts-epoch",
+		file: "internal/core/liveness.go",
+		old:  "\t\tif f := m.irFingerprint(); f != g.irWords {\n\t\t\tg.irWords = f\n\t\t\treturn true\n\t\t}\n",
+		new:  "\t\tg.irWords = m.irFingerprint()\n\t\treturn true\n",
+		run:  "^TestGuardStepNMatchesPerCycle$",
+	},
+	{
+		// A one-cycle dispatch drains a parked skip batch, so the
+		// batches and every later session probe shift.
+		name: "skip-batch-consumed-at-max-1",
+		file: "internal/core/block.go",
+		old:  "\tm.Step()\n\treturn 1\n}\n",
+		new:  "\tif m.blocks != nil && m.blockSkip > 0 {\n\t\tm.blockSkip--\n\t}\n\tm.Step()\n\treturn 1\n}\n",
+		run:  "^TestGuardDispatchGolden$",
+	},
+	{
+		// A jumped idle gap leaves the skip batches where they were
+		// instead of where per-cycle dispatches would have left them.
+		name: "skip-batch-replay-dropped",
+		file: "internal/core/step.go",
+		old:  "\t\tm.replayIdleDispatches(max, k)\n",
+		new:  "",
+		run:  "^(TestGuardDispatchGolden|TestIdleGapBlockReplay)$",
+	},
+	{
+		// An interrupt request moves its unit's version but not the
+		// machine-wide epoch, so the dispatch cache and the guard miss
+		// the new request.
+		name: "request-bumps-own-version-only",
+		file: "internal/interrupt/interrupt.go",
+		old:  "\tu.ir |= 1 << n\n\tu.bump()\n",
+		new:  "\tu.ir |= 1 << n\n\tu.ver++\n",
+		run:  "^TestSharedEpochContract$",
 	},
 }
 
@@ -129,7 +192,7 @@ func check(mu mutant, dir string) (verdict string, out []byte, err error) {
 	if err := os.WriteFile(ov, overlay, 0o644); err != nil {
 		return "", nil, err
 	}
-	out, err = exec.Command("go", "test", "-count=1", "-overlay", ov, "-run", mu.run, mu.pkg).CombinedOutput()
+	out, err = exec.Command("go", "test", "-count=1", "-overlay", ov, "-run", mu.run, "./"+filepath.Dir(mu.file)).CombinedOutput()
 	if err == nil {
 		return "SURVIVED: every test matching " + mu.run + " passed", out, nil
 	}

@@ -1,8 +1,6 @@
 package disc
 
 import (
-	"fmt"
-
 	"disc/internal/analysis"
 	"disc/internal/asm"
 	"disc/internal/blockc"
@@ -147,18 +145,12 @@ type Word = isa.Word
 
 // LoadImage installs every section of an assembled image into the
 // machine's program memory.
-func LoadImage(m *Machine, im *Image) error {
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func LoadImage(m *Machine, im *Image) error { return im.Load(m, nil) }
 
 // Build assembles source, loads it, and starts each stream named in
-// starts at the given label — the one-call path from source text to a
-// runnable machine.
+// starts at the given label or address, in stream order — the one-call
+// path from source text to a runnable machine. The machine has no
+// devices on its bus.
 func Build(cfg Config, source string, starts map[int]string) (*Machine, error) {
 	m, err := core.New(cfg)
 	if err != nil {
@@ -168,17 +160,8 @@ func Build(cfg Config, source string, starts map[int]string) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := LoadImage(m, im); err != nil {
+	if err := im.Load(m, starts); err != nil {
 		return nil, err
-	}
-	for stream, label := range starts {
-		addr, ok := im.Symbol(label)
-		if !ok {
-			return nil, fmt.Errorf("disc: start label %q not defined", label)
-		}
-		if err := m.StartStream(stream, addr); err != nil {
-			return nil, err
-		}
 	}
 	return m, nil
 }

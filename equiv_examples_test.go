@@ -88,10 +88,8 @@ func TestExamplesEquivalence(t *testing.T) {
 				cfg.Streams = isa.NumStreams
 				cfg.VectorBase = 0x200
 				m := core.MustNew(cfg)
-				for _, sec := range im.Sections {
-					if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
+				if err := im.Load(m, nil); err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
 				if err := m.StartStream(0, entry); err != nil {
 					t.Fatalf("%s: %v", tag, err)

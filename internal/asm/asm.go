@@ -117,6 +117,11 @@ func AssembleWith(src string, hooks ...Hook) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
+	return checked(im, hooks)
+}
+
+// checked runs each hook over im in order; the first refusal rejects it.
+func checked(im *Image, hooks []Hook) (*Image, error) {
 	for _, h := range hooks {
 		if err := h(im); err != nil {
 			return nil, err

@@ -40,10 +40,8 @@ entry_pid:  CALL pid
 	if err := m.Bus().Attach(isa.ExternalBase, 256, ram); err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	entries := map[string]uint16{}
 	for _, name := range []string{"entry_div", "entry_sqrt", "entry_cpy", "entry_crc", "entry_fix", "entry_pid"} {
@@ -376,10 +374,8 @@ b_loop:
 		t.Fatalf("assemble executive: %v", err)
 	}
 	m := core.MustNew(core.Config{Streams: 1})
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	taskB, _ := im.Symbol("taskB")
 	// Prime the executive state: task 0 current; task 1's TCB points

@@ -23,10 +23,8 @@ func assemble(t *testing.T, src string, cfg core.Config) (*core.Machine, *asm.Im
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatalf("LoadProgram: %v", err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatalf("LoadProgram: %v", err)
 	}
 	return m, im
 }

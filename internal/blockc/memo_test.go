@@ -29,10 +29,8 @@ func loadImage(t *testing.T, im *asm.Image) *core.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	return m
 }

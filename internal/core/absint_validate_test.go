@@ -52,10 +52,8 @@ func TestRetireExecOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.StartStream(0, 0x100); err != nil {
 		t.Fatal(err)
@@ -400,10 +398,8 @@ func buildControlMachine(t *testing.T, dev bus.Device) (*core.Machine, *asm.Imag
 	if err := m.Bus().Attach(isa.ExternalBase, 64, dev); err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.StartStream(0, 0x100); err != nil {
 		t.Fatal(err)

@@ -15,10 +15,8 @@ func load(t *testing.T, m *Machine, src string) *asm.Image {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	return im
 }

@@ -150,10 +150,8 @@ func program(streams int, src string, starts map[int]string) func(t *testing.T) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sec := range im.Sections {
-			if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-				t.Fatal(err)
-			}
+		if err := im.Load(m, nil); err != nil {
+			t.Fatal(err)
 		}
 		for s := 0; s < streams; s++ {
 			if label, ok := starts[s]; ok {
@@ -303,6 +301,16 @@ func guardCases() []loopCase {
 				0: func(m *core.Machine) { m.Interrupts(1).SetMR(0) },
 				4: func(m *core.Machine) { m.RaiseIRQ(1, 5) },
 			}},
+		// A request that lands while stream 0 still issues, then a quiet
+		// write after it wedged: the fingerprint must have been re-taken
+		// on the issuing cycle, or the old request reads as progress.
+		{name: "ir-on-issue-quiet", window: 64, budget: 2000,
+			build: program(2, raiseOnIssue, map[int]string{0: "main"}),
+			stim: stim{
+				0:  func(m *core.Machine) { m.Interrupts(1).SetMR(0) },
+				4:  func(m *core.Machine) { m.RaiseIRQ(1, 5) },
+				40: func(m *core.Machine) { u := m.Interrupts(0); u.SetIR(u.IR()) },
+			}},
 		{name: "quiet-writes", window: 100, budget: 10_000,
 			build: program(2, waitDeadlock, map[int]string{0: "main", 1: "other"}),
 			stim:  quietWrites(1000)},
@@ -348,6 +356,7 @@ var guardGolden = map[string]string{
 	"stall-countdown":            "cycles=506 done snap=16c4f516d402de7d",
 	"stall-deadlock":             "cycles=439 deadlock cycle=439 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0000 IS1 halted] snap=99b286897bcc797a",
 	"ir-on-issue":                "cycles=72 deadlock cycle=72 window=64 streams=[IS0 waiting on IR bit 2 at pc=0x0006 IS1 halted] snap=59feefe3db3c562b",
+	"ir-on-issue-quiet":          "cycles=72 deadlock cycle=72 window=64 streams=[IS0 waiting on IR bit 2 at pc=0x0006 IS1 halted] snap=59feefe3db3c562b",
 	"quiet-writes":               "cycles=104 deadlock cycle=104 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0000 IS1 halted] snap=cb441a65797ada00",
 	"storm-join":                 "cycles=3101 deadlock cycle=3101 window=100 streams=[IS0 waiting on IR bit 2 at pc=0x0001 IS1 halted] snap=624dbf2d4190f3d2",
 	"load1/1stream":              "cycles=8000 running snap=aab201ca4a1765e0",

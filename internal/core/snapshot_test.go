@@ -181,10 +181,8 @@ func slowBusMachine(t *testing.T) *core.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := m.StartStream(0, 0); err != nil {
 		t.Fatal(err)
@@ -263,10 +261,8 @@ func TestResetMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	load := func(m *core.Machine) {
-		for _, sec := range im.Sections {
-			if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-				t.Fatal(err)
-			}
+		if err := im.Load(m, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 

@@ -112,10 +112,8 @@ func runChaos(t *testing.T, seed uint64) (cycles int, err error, stats core.Stat
 	if err := m.Bus().Attach(isa.ExternalBase, 32, d); err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range chaosImage.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := chaosImage.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	starts := []uint16{0x000, 0x040, 0x080, 0x0C0}
 	for i, pc := range starts {

@@ -18,10 +18,8 @@ func load(t *testing.T, m *core.Machine, src string) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

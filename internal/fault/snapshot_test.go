@@ -45,10 +45,8 @@ func chaosFixture(t *testing.T, seed uint64) (*core.Machine, *Storm) {
 	if err := m.Bus().Attach(isa.ExternalBase, 32, d); err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range chaosImage.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := chaosImage.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	for i, pc := range []uint16{0x000, 0x040, 0x080, 0x0C0} {
 		if err := m.StartStream(i, pc); err != nil {

@@ -22,10 +22,8 @@ func runCompiled(t testing.TB, src string) (map[string]uint16, []uint16) {
 		t.Fatalf("assemble compiler output: %v\n%s", err, prog.Asm)
 	}
 	m := core.MustNew(core.Config{Streams: 1})
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	m.StartStream(0, 0)
 	if _, idle := m.RunUntilIdle(300000); !idle {

@@ -14,10 +14,8 @@ func machineWith(t *testing.T, cfg core.Config, src string) *core.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			t.Fatal(err)
-		}
+	if err := im.Load(m, nil); err != nil {
+		t.Fatal(err)
 	}
 	return m
 }

@@ -329,48 +329,62 @@ func (s *Server) lookup(id string) (*Session, error) {
 	return sess, nil
 }
 
-// Create builds a new session from req — an assembled program or an
-// uploaded disc-snap/1 blob — and registers it.
-func (s *Server) Create(req CreateRequest) (SessionInfo, error) {
+// admit reports why the server takes no new session, if it does not.
+// The caller holds s.mu.
+func (s *Server) admit() error {
+	switch {
+	case s.closed:
+		return ErrClosed
+	case s.draining:
+		return ErrDraining
+	case len(s.sessions) >= s.cfg.MaxSessions:
+		return ErrSessionLimit
+	}
+	return nil
+}
+
+// register gives a new session an ID and a worker, has build construct
+// it off-pool — the machine is single-owner until registered, so
+// assembly, restore and the first inspection need no worker yet — and
+// registers it. The server is asked to admit it both before the build
+// and at registration, so sessions built concurrently never register
+// past MaxSessions or after a drain began.
+func (s *Server) register(build func(id string, worker int) (*Session, error)) (SessionInfo, error) {
 	s.mu.Lock()
-	if s.closed {
+	if err := s.admit(); err != nil {
 		s.mu.Unlock()
-		return SessionInfo{}, ErrClosed
-	}
-	if s.draining {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrDraining
-	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrSessionLimit
+		return SessionInfo{}, err
 	}
 	s.nextID++
 	id := fmt.Sprintf("s-%d", s.nextID)
 	widx := int(s.nextID % uint64(len(s.workers)))
 	s.mu.Unlock()
 
-	// Build off-pool: the machine is single-owner until registered, so
-	// assembly, restore and the first inspection need no worker yet.
-	sess, err := buildSession(id, widx, req)
+	sess, err := build(id, widx)
 	if err != nil {
 		return SessionInfo{}, err
 	}
 	info := sess.info()
 
 	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrDraining
-	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrSessionLimit
+	defer s.mu.Unlock()
+	if err := s.admit(); err != nil {
+		return SessionInfo{}, err
 	}
 	s.sessions[id] = sess
-	s.mu.Unlock()
-	s.met.sessionCreated()
 	return info, nil
+}
+
+// Create builds a new session from req — an assembled program or an
+// uploaded disc-snap/1 blob — and registers it.
+func (s *Server) Create(req CreateRequest) (SessionInfo, error) {
+	info, err := s.register(func(id string, worker int) (*Session, error) {
+		return buildSession(id, worker, req)
+	})
+	if err == nil {
+		s.met.sessionCreated()
+	}
+	return info, err
 }
 
 // Step advances a session by up to `cycles` cycles under its guard.
@@ -446,34 +460,13 @@ func (s *Server) Fork(id string) (SessionInfo, error) {
 		return SessionInfo{}, snapErr
 	}
 
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrDraining
+	info, err := s.register(func(id string, worker int) (*Session, error) {
+		return forkSession(id, worker, parent, blob, stepped)
+	})
+	if err == nil {
+		s.met.forked()
 	}
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrSessionLimit
-	}
-	s.nextID++
-	twinID := fmt.Sprintf("s-%d", s.nextID)
-	widx := int(s.nextID % uint64(len(s.workers)))
-	s.mu.Unlock()
-
-	twin, err := forkSession(twinID, widx, parent, blob, stepped)
-	if err != nil {
-		return SessionInfo{}, err
-	}
-	info := twin.info()
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
-		return SessionInfo{}, ErrDraining
-	}
-	s.sessions[twinID] = twin
-	s.mu.Unlock()
-	s.met.forked()
-	return info, nil
+	return info, err
 }
 
 // Delete unregisters a session. Work already queued for it finishes

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"disc/internal/core"
+	"disc/internal/board"
 	"disc/internal/snap"
 )
 
@@ -217,6 +217,49 @@ func TestSessionLimit(t *testing.T) {
 	}
 }
 
+// TestConcurrentForksHoldSessionLimit forks one session from eight
+// goroutines at once under MaxSessions 2: at most one twin may register,
+// and every other fork must answer ErrSessionLimit. The parent's worker
+// is held until all eight forks are queued on it, so their snapshots run
+// back to back and every fork passes the admission check before the
+// first twin is built; only the check at registration can hold the cap.
+// The parent records metrics, so each twin also builds a flight
+// recorder, which widens the race; the rounds repeat it.
+func TestConcurrentForksHoldSessionLimit(t *testing.T) {
+	const forks = 8
+	for round := 0; round < 20; round++ {
+		s := newServer(t, Config{MaxSessions: 2})
+		parent := mustCreate(t, s, CreateRequest{Program: counterProgram, Streams: 1, Metrics: true})
+		sess := sessionOf(t, s, parent.ID)
+		release, _ := hold(t, s, sess)
+		var wg sync.WaitGroup
+		errs := make([]error, forks)
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[i] = s.Fork(parent.ID)
+			}()
+		}
+		waitPending(s, sess.worker, 1+forks)
+		release()
+		wg.Wait()
+		ok := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				ok++
+			case !errors.Is(err, ErrSessionLimit):
+				t.Fatalf("round %d: fork: %v", round, err)
+			}
+		}
+		if live := s.SessionsLive(); live > 2 || ok != live-1 {
+			t.Fatalf("round %d: %d forks registered, %d live sessions under MaxSessions 2", round, ok, live)
+		}
+		s.Close()
+	}
+}
+
 // TestBusyBackpressure holds the (single) worker on a request of its
 // own, which fills its QueueDepth of one, so the next request must fail
 // fast with ErrBusy — the bounded-queue overload contract behind HTTP
@@ -414,11 +457,8 @@ func TestDrainSnapshotsEverySession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("drained snapshot %s: %v", id, err)
 		}
-		m, err := core.New(sn.Cfg)
+		m, err := board.Default().Resume(sn).New()
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := attachBoard(m, boardSpec{ExtramWaits: 4}); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Restore(sn); err != nil {

@@ -1,12 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"disc/internal/analysis"
 	"disc/internal/asm"
 	"disc/internal/blockc"
 	"disc/internal/board"
@@ -89,40 +90,20 @@ type CreateRequest struct {
 	Metrics     bool `json:"metrics,omitempty"`      // attach the obs metrics registry
 }
 
-// boardSpec is the retained board shape; a fork rebuilds the twin's
-// board from it so device (base, name) identity matches the snapshot.
-type boardSpec struct {
-	ExtramWaits int
-	Fault       map[string]fault.DeviceConfig
-}
-
-// attachBoard populates the bus with the standard board — the same
-// board discsim wires, so snapshots move between the two — wrapping any
-// device named in spec.Fault with its fault policy.
-func attachBoard(m *core.Machine, spec boardSpec) error {
-	return board.Attach(m, spec.ExtramWaits, func(name string, d bus.Device) bus.Device {
-		if cfg, ok := spec.Fault[name]; ok {
-			return fault.Wrap(d, cfg)
-		}
-		return d
-	})
-}
-
 // Session is one hosted simulation. The fields below the worker index
 // are owned by that worker: only requests running on it may touch
-// them once the session is registered. Fields up to and including
-// blockOpts are immutable after construction and safe to read from
-// any goroutine; queue is guarded by the worker's mutex.
+// them once the session is registered. Fields up to and including im
+// are immutable after construction and safe to read from any
+// goroutine; queue is guarded by the worker's mutex.
 type Session struct {
 	id     string
 	worker int
 
-	spec        boardSpec
+	spec        board.Spec // the machine and board, for forks and the block engine
 	stallWindow uint64
 	budget      uint64 // lifetime cycle budget, 0 = unlimited
 	blockEngine bool
 	im          *asm.Image // program-path sessions: retained for fork re-attach
-	blockOpts   analysis.Options
 
 	queue []*task // this session's requests, oldest first; the head is served
 
@@ -139,33 +120,46 @@ type Session struct {
 	crash   *CrashError // set once a request panicked; the session is quarantined
 }
 
-func boardSpecOf(req CreateRequest) (boardSpec, error) {
-	spec := boardSpec{ExtramWaits: board.DefaultExtramWaits}
-	if req.ExtramWaits != nil {
-		spec.ExtramWaits = *req.ExtramWaits
+// specOf is the machine req asks for: its geometry, with the board's
+// defaults for what it leaves zero, and the fault policies wrapped
+// around the devices they name.
+func specOf(req CreateRequest) (board.Spec, error) {
+	spec := board.Default()
+	spec.Config = core.Config{
+		Streams:       cmp.Or(req.Streams, spec.Config.Streams),
+		VectorBase:    cmp.Or(req.VectorBase, spec.Config.VectorBase),
+		TrapBusFaults: req.TrapBusFault,
+		Shares:        req.Shares,
 	}
-	if len(req.Fault) > 0 {
-		names := board.Names()
-		known := make(map[string]bool, len(names))
-		for _, n := range names {
-			known[n] = true
+	spec.BusTimeout = req.BusTimeout
+	if req.ExtramWaits != nil {
+		spec.RAMWaits = *req.ExtramWaits
+	}
+	if len(req.Fault) == 0 {
+		return spec, nil
+	}
+	names := board.Names()
+	policy := make(map[string]fault.DeviceConfig, len(req.Fault))
+	//detlint:ignore collection pass into a keyed map; order-free
+	for name, cfg := range req.Fault {
+		if !slices.Contains(names, name) {
+			return board.Spec{}, fmt.Errorf("serve: fault policy names unknown device %q (board: %s)",
+				name, strings.Join(names, ", "))
 		}
-		spec.Fault = make(map[string]fault.DeviceConfig, len(req.Fault))
-		//detlint:ignore collection pass into a keyed map; order-free
-		for name, cfg := range req.Fault {
-			if !known[name] {
-				return boardSpec{}, fmt.Errorf("serve: fault policy names unknown device %q (board: %s)",
-					name, strings.Join(names, ", "))
-			}
-			spec.Fault[name] = cfg.device()
+		policy[name] = cfg.device()
+	}
+	spec.Wrap = func(name string, d bus.Device) bus.Device {
+		if cfg, ok := policy[name]; ok {
+			return fault.Wrap(d, cfg)
 		}
+		return d
 	}
 	return spec, nil
 }
 
 // buildSession constructs a machine for req and wraps it as a session.
 func buildSession(id string, worker int, req CreateRequest) (*Session, error) {
-	spec, err := boardSpecOf(req)
+	spec, err := specOf(req)
 	if err != nil {
 		return nil, err
 	}
@@ -176,112 +170,49 @@ func buildSession(id string, worker int, req CreateRequest) (*Session, error) {
 	sess := &Session{
 		id:          id,
 		worker:      worker,
-		spec:        spec,
 		stallWindow: stallWindow,
 		budget:      req.CycleBudget,
 		blockEngine: req.BlockEngine,
 		status:      "running",
 	}
 
-	if len(req.Snapshot) > 0 {
+	var sn *core.Snapshot
+	starts := map[int]string{}
+	switch {
+	case len(req.Snapshot) > 0:
 		if req.Program != "" {
 			return nil, errors.New("serve: create wants program or snapshot, not both")
 		}
 		if req.BlockEngine {
 			return nil, errors.New("serve: block_engine needs a program (no image travels with a snapshot)")
 		}
-		sn, err := snap.Decode(req.Snapshot)
-		if err != nil {
+		if sn, err = snap.Decode(req.Snapshot); err != nil {
 			return nil, err
 		}
-		m, err := core.New(sn.Cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := attachBoard(m, spec); err != nil {
-			return nil, err
-		}
-		sess.attachObs(m, req, sn.Cfg.Streams)
-		if err := m.Restore(sn); err != nil {
-			return nil, err
-		}
-		sess.m = m
-		sess.g = m.NewGuard(stallWindow)
-		return sess, nil
-	}
-
-	if req.Program == "" {
+		spec = spec.Resume(sn)
+	case req.Program == "":
 		return nil, errors.New("serve: create needs a program or a snapshot")
-	}
-	im, err := asm.Assemble(req.Program)
-	if err != nil {
-		return nil, err
-	}
-	cfg := core.Config{
-		Streams:       req.Streams,
-		VectorBase:    req.VectorBase,
-		TrapBusFaults: req.TrapBusFault,
-		Shares:        req.Shares,
-	}
-	if cfg.Streams == 0 {
-		cfg.Streams = 4
-	}
-	if cfg.VectorBase == 0 {
-		cfg.VectorBase = 0x0200
-	}
-	m, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m.Bus().SetTimeout(req.BusTimeout)
-	if err := attachBoard(m, spec); err != nil {
-		return nil, err
-	}
-	sess.attachObs(m, req, cfg.Streams)
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
+	default:
+		if sess.im, err = asm.Assemble(req.Program); err != nil {
 			return nil, err
 		}
-	}
-	start := req.Start
-	if len(start) == 0 {
-		start = map[string]string{"0": "0"}
-	}
-	// Streams start in index order regardless of JSON map order, so a
-	// session's creation is deterministic.
-	for sid := 0; sid < cfg.Streams; sid++ {
-		at, ok := start[strconv.Itoa(sid)]
-		if !ok {
-			continue
+		start := req.Start
+		if len(start) == 0 {
+			start = map[string]string{"0": "0"}
 		}
-		addr, err := resolveStart(im, at)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.StartStream(sid, addr); err != nil {
-			return nil, err
+		//detlint:ignore validation pass into a keyed map; order-free
+		for key, at := range start {
+			sid, err := strconv.Atoi(key)
+			if err != nil || sid < 0 || sid >= spec.Config.Streams {
+				return nil, fmt.Errorf("serve: start names stream %q, machine has 0..%d", key, spec.Config.Streams-1)
+			}
+			starts[sid] = at
 		}
 	}
-	//detlint:ignore validation pass; any bad key errors, order-free
-	for key := range start {
-		if sid, err := strconv.Atoi(key); err != nil || sid < 0 || sid >= cfg.Streams {
-			return nil, fmt.Errorf("serve: start names stream %q, machine has 0..%d", key, cfg.Streams-1)
-		}
+	sess.spec = spec
+	if err := sess.start(sn, req.Metrics, starts); err != nil {
+		return nil, err
 	}
-	sess.im = im
-	if req.BlockEngine {
-		sess.blockOpts = analysis.Options{
-			VectorBase: cfg.VectorBase,
-			Streams:    cfg.Streams,
-			BusTimeout: req.BusTimeout,
-			BusRanges:  board.Ranges(spec.ExtramWaits),
-		}
-		// The returned analysis report is advisory here; the table is
-		// attached (or empty) either way, and the session stays exact.
-		blockc.Attach(m, im, sess.blockOpts)
-	}
-	sess.m = m
-	sess.g = m.NewGuard(stallWindow)
 	return sess, nil
 }
 
@@ -293,71 +224,59 @@ func forkSession(id string, worker int, parent *Session, blob []byte, stepped ui
 	if err != nil {
 		return nil, err
 	}
-	m, err := core.New(sn.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := attachBoard(m, parent.spec); err != nil {
-		return nil, err
-	}
 	sess := &Session{
 		id:          id,
 		worker:      worker,
-		spec:        parent.spec,
+		spec:        parent.spec.Resume(sn),
 		stallWindow: parent.stallWindow,
 		budget:      parent.budget,
 		blockEngine: parent.blockEngine,
 		im:          parent.im,
-		blockOpts:   parent.blockOpts,
 		stepped:     stepped,
 		status:      "running",
 	}
-	if parent.met != nil {
-		rec := obs.NewRecorder(obs.DefaultCapacity)
-		sess.met = rec.EnableMetrics(sn.Cfg.Streams)
-		sess.rec = rec
-		m.SetRecorder(rec)
-	}
-	if err := m.Restore(sn); err != nil {
+	if err := sess.start(sn, parent.met != nil, nil); err != nil {
 		return nil, err
 	}
-	// Restore detaches any block table (the program-store version
-	// advanced); re-attach from the retained image, as DESIGN.md §14
-	// prescribes for restoring hosts. blockc memoizes the plan of
-	// (image, options), so this rebuilds only the table, against the
-	// twin's restored program store.
-	if parent.blockEngine && parent.im != nil {
-		blockc.Attach(m, parent.im, parent.blockOpts)
-	}
-	sess.m = m
-	sess.g = m.NewGuard(parent.stallWindow)
 	return sess, nil
 }
 
-func (sess *Session) attachObs(m *core.Machine, req CreateRequest, streams int) {
-	if !req.Metrics {
-		return
-	}
-	rec := obs.NewRecorder(obs.DefaultCapacity)
-	sess.met = rec.EnableMetrics(streams)
-	sess.rec = rec
-	m.SetRecorder(rec)
-}
-
-// resolveStart turns a label or numeric literal into an address.
-func resolveStart(im *asm.Image, s string) (uint16, error) {
-	if v, ok := im.Symbol(s); ok {
-		return v, nil
-	}
-	base := 10
-	if strings.HasPrefix(s, "0x") {
-		base, s = 16, s[2:]
-	}
-	v, err := strconv.ParseUint(s, base, 16)
+// start builds the session's machine from its spec and either restores
+// sn (whose geometry the spec already holds) into it or loads the
+// session's image and starts the streams in starts. With metrics the
+// flight recorder is attached before either, so its record covers the
+// machine from its first event. A session with the block engine gets
+// its table after the load or restore: Restore detaches any table (the
+// program-store version advanced), and blockc memoizes the plan of
+// (image, options), so a fork rebuilds only the table, against the
+// twin's restored program store (DESIGN.md §14).
+func (sess *Session) start(sn *core.Snapshot, metrics bool, starts map[int]string) error {
+	m, err := sess.spec.New()
 	if err != nil {
-		return 0, fmt.Errorf("serve: start %q: not a label or address", s)
+		return err
 	}
-	return uint16(v), nil
+	if metrics {
+		rec := obs.NewRecorder(obs.DefaultCapacity)
+		sess.met = rec.EnableMetrics(sess.spec.Config.Streams)
+		sess.rec = rec
+		m.SetRecorder(rec)
+	}
+	if sn != nil {
+		err = m.Restore(sn)
+	} else {
+		err = sess.im.Load(m, starts)
+	}
+	if err != nil {
+		return err
+	}
+	if sess.blockEngine && sess.im != nil {
+		// The returned analysis report is advisory here; the table is
+		// attached (or empty) either way, and the session stays exact.
+		blockc.Attach(m, sess.im, sess.spec.Analysis())
+	}
+	sess.m = m
+	sess.g = m.NewGuard(sess.stallWindow)
+	return nil
 }
 
 // StepResult reports one step call's outcome.

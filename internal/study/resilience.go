@@ -102,7 +102,7 @@ s3: ADDI R0, 1
     JMP  s3
 `
 
-var isolationStarts = []uint16{0x000, 0x040, 0x080, 0x0C0}
+var isolationStarts = map[int]string{0: "s0", 1: "s1", 2: "s2", 3: "s3"}
 
 // isolationRun executes one machine run and reports per-stream
 // throughput shares, worst retire gaps and stream 0's bus fault count.
@@ -131,15 +131,8 @@ func isolationRun(cfg FaultIsolationConfig, seed uint64, dead bool) (share, gap 
 	if err != nil {
 		return share, gap, 0, err
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			return share, gap, 0, err
-		}
-	}
-	for i, pc := range isolationStarts {
-		if err := m.StartStream(i, pc); err != nil {
-			return share, gap, 0, err
-		}
+	if err := im.Load(m, isolationStarts); err != nil {
+		return share, gap, 0, err
 	}
 
 	var lastRetire, worst [isa.NumStreams]uint64

@@ -349,15 +349,12 @@ busy:
 	if err != nil {
 		return nil, err
 	}
-	for _, sec := range im.Sections {
-		if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-			return nil, err
-		}
-	}
+	starts := map[int]string{}
 	for i := 0; i < nBusy; i++ {
-		if err := m.StartStream(i, 0); err != nil {
-			return nil, err
-		}
+		starts[i] = "busy"
+	}
+	if err := im.Load(m, starts); err != nil {
+		return nil, err
 	}
 	m.Run(32)
 	samples, _, err := rt.MeasureDispatchLatency(m, nStreams-1, 3, events, 120)

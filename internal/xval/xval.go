@@ -181,10 +181,8 @@ func NewLoadSetup(p workload.Params, k int, seed uint64, cfg core.Config) (*Load
 		if err != nil {
 			return nil, fmt.Errorf("xval: generated program does not assemble: %w", err)
 		}
-		for _, sec := range im.Sections {
-			if err := m.LoadProgram(sec.Base, sec.Words); err != nil {
-				return nil, err
-			}
+		if err := im.Load(m, nil); err != nil {
+			return nil, err
 		}
 		if err := m.StartStream(s, base); err != nil {
 			return nil, err
