@@ -120,6 +120,36 @@ var table = []mutant{
 		new:  "\tu.ir |= 1 << n\n\tu.ver++\n",
 		run:  "^TestSharedEpochContract$",
 	},
+	{
+		// A §4.1 request puts a stream whose off gap is running into the
+		// wait state without counting the gap's ticks so far, so the
+		// frozen gap resumes at its full length.
+		name: "gap-unsettled-at-wait-entry",
+		file: "internal/stoch/stoch.go",
+		old:  "\t\t\t\t\ts.settleGap(c)\n",
+		new:  "",
+		run:  "^TestRunMatchesPerCycle$",
+	},
+	{
+		// An off gap's wake cycle is one late, so the stream sits out
+		// one more cycle than the per-cycle loop leaves it idle.
+		name: "gap-wake-one-late",
+		file: "internal/stoch/stoch.go",
+		old:  "\ts.wake = from + uint64(s.proc.OffLeft()) - 1\n",
+		new:  "\ts.wake = from + uint64(s.proc.OffLeft())\n",
+		run:  "^TestRunMatchesPerCycle$",
+	},
+	{
+		// The waits and off gaps still accruing when the budget runs out
+		// are never counted.
+		name: "no-settle-at-budget-end",
+		file: "internal/stoch/stoch.go",
+		old: "\tfor w := waiting; w != 0; w &= w - 1 {\n\t\ts := &st[bits.TrailingZeros32(w)]\n" +
+			"\t\ts.m.WaitCycles += cycles + 1 - s.since\n\t}\n" +
+			"\tfor o := off; o != 0; o &= o - 1 {\n\t\tst[bits.TrailingZeros32(o)].settleGap(cycles + 1)\n\t}\n",
+		new: "",
+		run: "^TestRunMatchesPerCycle$",
+	},
 }
 
 func main() {

@@ -231,12 +231,15 @@ func runPerCycle(cfg Config) (Result, error) {
 }
 
 // TestRunMatchesPerCycle: Run, with its idle-gap jump, ring pipe and
-// running counts, must return the identical Result — PerStream
-// included — as the per-cycle loop, over seeded random configurations:
-// pipe lengths 2–8, 1–8 buses, 1–16 streams, explicit slot tables,
-// composite loads, random parameters (I/O means ≥ 30 take the PTRS
-// sampler, off gaps of 1–3 cycles end on the next cycle), saturated
-// buses that reject and retry, and budgets that end inside a gap.
+// event-driven readiness (the ready mask and the wait and off counts
+// change only at transitions, not in a pass over the streams each
+// cycle), must return the identical Result — PerStream included — as
+// the per-cycle loop, over seeded random configurations: pipe lengths
+// 2–8, 1–8 buses, 1–16 streams, explicit slot tables, composite loads,
+// random parameters (I/O means ≥ 30 take the PTRS sampler, off gaps of
+// 1–3 cycles end on the next cycle), saturated buses that reject and
+// retry, and budgets that end inside a gap; then over the named
+// transitionCases.
 func TestRunMatchesPerCycle(t *testing.T) {
 	n := 300
 	if testing.Short() {
@@ -252,12 +255,99 @@ func TestRunMatchesPerCycle(t *testing.T) {
 		checkMatchesPerCycle(t, Config{Cycles: c, Seed: c, Streams: bursty[:1]})
 		checkMatchesPerCycle(t, Config{Cycles: c, Seed: c, Streams: bursty, PipeLen: 2})
 	}
+	for _, tc := range transitionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cfg := range tc.cfgs() {
+				checkMatchesPerCycle(t, cfg)
+			}
+		})
+	}
+}
+
+// frozen ends most bursts with a long request, so its off gap starts
+// ticking while the request is in the pipe and freezes when the
+// request leaves it and the stream waits on the bus.
+var frozen = workload.Simple(workload.Params{Name: "frozen", MeanOn: 1, MeanOff: 40,
+	MeanReq: 1, Alpha: 1, TMem: 25})
+
+// transitionCases aim at one transition each of Run's event-driven
+// readiness.
+var transitionCases = []struct {
+	name string
+	cfgs func() []Config
+}{
+	{"burst-ending-request-freezes-gap", func() (cs []Config) {
+		for seed := uint64(1); seed <= 40; seed++ {
+			cs = append(cs,
+				Config{Cycles: 3000, Seed: seed, Streams: []workload.Load{frozen}},
+				Config{Cycles: 3000, Seed: seed, PipeLen: 6, Buses: 2,
+					Streams: []workload.Load{frozen, frozen, workload.Simple(workload.Ld2)}})
+		}
+		return cs
+	}},
+	{"wake-with-bus-completion", func() (cs []Config) {
+		// At pipe length 2 a gap of 2 has one tick left when its
+		// burst-ending request leaves the pipe, so it ends in the
+		// cycle the 3-cycle access completes; the second stream's short
+		// gaps end on completion cycles too.
+		short := workload.Simple(workload.Params{Name: "short", MeanOn: 1, MeanOff: 2,
+			MeanReq: 1, Alpha: 1, TMem: 3})
+		gaps := workload.Simple(workload.Params{Name: "gaps", MeanOn: 2, MeanOff: 3})
+		for seed := uint64(1); seed <= 40; seed++ {
+			cs = append(cs,
+				Config{Cycles: 2000, Seed: seed, PipeLen: 2, Streams: []workload.Load{short}},
+				Config{Cycles: 2000, Seed: seed, PipeLen: 2, Streams: []workload.Load{short, gaps}},
+				Config{Cycles: 2000, Seed: seed, PipeLen: 3, Streams: []workload.Load{short, short, gaps}})
+		}
+		return cs
+	}},
+	{"one-cycle-gaps", func() (cs []Config) {
+		// A mean this small draws 0, which becomes a gap of 1: the
+		// stream is off for one cycle and ready in the next.
+		blink := workload.Simple(workload.Params{Name: "blink", MeanOn: 3, MeanOff: 0.01,
+			MeanReq: 4, Alpha: 0.5, TMem: 2, MeanIO: 5, AlJmp: 0.3})
+		for seed := uint64(1); seed <= 40; seed++ {
+			cs = append(cs,
+				Config{Cycles: 2000, Seed: seed, Streams: []workload.Load{blink}},
+				Config{Cycles: 2000, Seed: seed, PipeLen: 2, Streams: []workload.Load{blink, blink}},
+				Config{Cycles: 2000, Seed: seed, Streams: []workload.Load{blink, frozen, blink}})
+		}
+		return cs
+	}},
+	{"budget-ends-in-frozen-gap", func() (cs []Config) {
+		for c := uint64(1); c <= 300; c++ {
+			cs = append(cs,
+				Config{Cycles: c, Seed: c, Streams: []workload.Load{frozen}},
+				Config{Cycles: c, Seed: c, PipeLen: 2, Streams: []workload.Load{frozen, frozen}})
+		}
+		return cs
+	}},
+	{"donations-across-16-streams", func() (cs []Config) {
+		// Stream 0 owns every slot and mostly waits, so nearly every
+		// slot is donated round-robin among the other fifteen, whose
+		// bursts and gaps keep changing the ready mask.
+		hog := workload.Simple(workload.Params{Name: "hog", MeanReq: 2, Alpha: 1, TMem: 30})
+		others := []workload.Load{workload.Simple(workload.Ld2), workload.Simple(workload.Ld4),
+			frozen, workload.Combined()[2]}
+		for seed := uint64(1); seed <= 20; seed++ {
+			streams := []workload.Load{hog}
+			for i := 1; i < sched.MaxStreams; i++ {
+				streams = append(streams, others[(i+int(seed))%len(others)])
+			}
+			cs = append(cs, Config{Cycles: 4000, Seed: seed, Slots: []int{0}, Buses: 2, Streams: streams})
+		}
+		return cs
+	}},
 }
 
 // FuzzRunMatchesPerCycle is TestRunMatchesPerCycle over fuzzed seeds;
 // the seed corpus runs under go test.
 func FuzzRunMatchesPerCycle(f *testing.F) {
-	for _, s := range []uint64{0, 7, 13, 14, 1991, 1 << 40, 0xDEADBEEF} {
+	// 15869, 13560, 3492, 4225 and 4807 drive the event-driven
+	// transitions hardest: frozen off gaps, wakes on bus-completion
+	// cycles, 1-cycle gaps, donations across 16 streams and a budget
+	// that ends inside a frozen gap.
+	for _, s := range []uint64{0, 7, 13, 14, 1991, 1 << 40, 0xDEADBEEF, 15869, 13560, 3492, 4225, 4807} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) {

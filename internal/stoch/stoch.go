@@ -32,6 +32,8 @@ package stoch
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"disc/internal/parallel"
 	"disc/internal/rng"
@@ -154,12 +156,41 @@ type isState struct {
 	proc     *workload.Process
 	retryLat int
 	inPipe   int  // this stream's valid slots in the pipe
-	waiting  bool // in the wait state until a bus channel completes
 	retry    bool // re-issue a flushed request after reactivation
-	m        StreamResult
+	// since is the first cycle not yet counted in WaitCycles (while the
+	// stream waits) or OffCycles (while its off-gap clock runs); wake is
+	// the cycle whose tick ends the running off gap.
+	since, wake uint64
+	m           StreamResult
+}
+
+// startGap starts s's off-gap clock with its first tick in cycle from
+// and returns the cycle of its last tick, in which the stream is ready
+// again.
+func (s *isState) startGap(from uint64) uint64 {
+	s.since = from
+	s.wake = from + uint64(s.proc.OffLeft()) - 1
+	return s.wake
+}
+
+// settleGap applies s's off-gap ticks before cycle c to its process
+// and counts them.
+func (s *isState) settleGap(c uint64) {
+	k := c - s.since
+	s.proc.SkipIdle(int(k))
+	s.m.OffCycles += k
+	s.since = c
 }
 
 // Run executes the simulation.
+//
+// Readiness is event-driven (DESIGN.md §10): the ready mask and the
+// waiting and off sets change only at §4.1's transitions — a request
+// leaving the pipe, a bus completion, a burst ending at Issue and an
+// off gap's last tick — and each stream's WaitCycles or OffCycles
+// accrue from its since stamp until the next transition, or the end of
+// the budget, settles them. A stepped cycle therefore costs no pass
+// over the streams.
 func Run(cfg Config) (Result, error) {
 	if len(cfg.Streams) == 0 {
 		return Result{}, fmt.Errorf("stoch: no streams configured")
@@ -211,15 +242,33 @@ func Run(cfg Config) (Result, error) {
 	busBusy := make([]int, buses) // cycles left on each channel
 	nBusy := 0                    // channels with cycles left
 
+	// Every stream starts active. A stream is in at most one of ready,
+	// waiting (until a bus channel completes; its off gap, if any, is
+	// frozen) and off (its off-gap clock runs until its wake cycle).
+	// nextWake is at or before the earliest wake in off.
+	ready := sched.ReadyMask(1)<<len(st) - 1
+	var waiting, off uint32
+	nextWake := uint64(math.MaxUint64)
+
 	for c := uint64(0); c < cycles; {
 		// Live-cycle accounting: dead means every stream is in an off
 		// gap, nothing is in flight and the bus is quiet.
 		live := true
-		if inPipe == 0 {
-			// Idle-gap jump (DESIGN.md §10): advance every cycle that
-			// repeats an idle one in one step.
-			var k uint64
-			if k, live = idleGap(st, busBusy, nBusy, cycles-c); k > 0 {
+		if inPipe == 0 && ready == 0 {
+			// Idle-gap jump (DESIGN.md §10): every stream waits on the
+			// bus or sits in an off gap, so each coming cycle repeats an
+			// idle one until a channel completes or a gap ends. A
+			// stream waits only while some channel is busy, so the gap
+			// is live exactly when one is; a channel's countdown or an
+			// off gap bounds k.
+			live = nBusy > 0
+			k := min(cycles-c, nextWake-c-1)
+			for _, b := range busBusy {
+				if b > 0 {
+					k = min(k, uint64(b-1))
+				}
+			}
+			if k > 0 {
 				res.IdleSlots += k
 				if live {
 					res.LiveCycles += k
@@ -228,15 +277,6 @@ func Run(cfg Config) (Result, error) {
 				for i, b := range busBusy {
 					if b > 0 {
 						busBusy[i] = b - int(k)
-					}
-				}
-				for i := range st {
-					s := &st[i]
-					if s.waiting {
-						s.m.WaitCycles += k
-					} else {
-						s.proc.SkipIdle(int(k))
-						s.m.OffCycles += k
 					}
 				}
 				sc.AdvanceIdle(int(k))
@@ -250,7 +290,9 @@ func Run(cfg Config) (Result, error) {
 		}
 
 		// Bus advance; any completion reactivates all waiting ISs
-		// (§3.6.1); with multiple channels the busy count sums them.
+		// (§3.6.1); with multiple channels the busy count sums them. A
+		// woken stream is ready, or its frozen off gap ticks again from
+		// this cycle.
 		if nBusy > 0 {
 			res.BusBusy += uint64(nBusy)
 			completed := 0
@@ -264,9 +306,18 @@ func Run(cfg Config) (Result, error) {
 			}
 			if completed > 0 {
 				nBusy -= completed
-				for i := range st {
-					st[i].waiting = false
+				for w := waiting; w != 0; w &= w - 1 {
+					i := bits.TrailingZeros32(w)
+					s := &st[i]
+					s.m.WaitCycles += c - s.since
+					if s.proc.Active() {
+						ready.Set(i)
+					} else {
+						off |= 1 << i
+						nextWake = min(nextWake, s.startGap(c))
+					}
 				}
+				waiting = 0
 			}
 		}
 
@@ -311,7 +362,16 @@ func Run(cfg Config) (Result, error) {
 					}
 					nBusy++
 				}
-				s.waiting = true
+				// The wait state freezes a running off gap: count its
+				// ticks so far and take it out of off (nextWake may now
+				// be early, which costs one scan).
+				if off&(1<<done.is) != 0 {
+					s.settleGap(c)
+					off &^= 1 << done.is
+				}
+				ready.Clear(int(done.is))
+				waiting |= 1 << done.is
+				s.since = c
 				// Either way the IS's other in-flight work flushes.
 				inPipe -= flush(pipe, s, done.is)
 			default:
@@ -319,23 +379,23 @@ func Run(cfg Config) (Result, error) {
 			}
 		}
 
-		// Idle/off bookkeeping and the ready mask, in one pass.
-		var ready sched.ReadyMask
-		for i := range st {
-			s := &st[i]
-			if s.waiting {
-				s.m.WaitCycles++
-				continue
-			}
-			if !s.proc.Active() {
-				s.proc.TickIdle()
-				s.m.OffCycles++
-				if !s.proc.Active() {
-					continue
+		// Off gaps whose last tick is this cycle end: their streams
+		// start the next burst and are ready.
+		if nextWake <= c {
+			nextWake = math.MaxUint64
+			for o := off; o != 0; o &= o - 1 {
+				i := bits.TrailingZeros32(o)
+				s := &st[i]
+				if s.wake == c {
+					s.settleGap(c + 1)
+					off &^= 1 << i
+					ready.Set(i)
+				} else {
+					nextWake = min(nextWake, s.wake)
 				}
 			}
-			ready.Set(i)
 		}
+
 		id, _, ok := sc.Next(ready)
 		if !ok {
 			res.IdleSlots++
@@ -348,10 +408,26 @@ func Run(cfg Config) (Result, error) {
 			s.retry = false
 		} else {
 			sl.kind, sl.lat = s.proc.Issue()
+			if !s.proc.Active() {
+				// The burst ended with this instruction: the off gap
+				// ticks from the next cycle.
+				ready.Clear(id)
+				off |= 1 << id
+				nextWake = min(nextWake, s.startGap(c+1))
+			}
 		}
 		pipe[head] = sl
 		inPipe++
 		s.inPipe++
+	}
+
+	// Settle what still accrues at the end of the budget.
+	for w := waiting; w != 0; w &= w - 1 {
+		s := &st[bits.TrailingZeros32(w)]
+		s.m.WaitCycles += cycles + 1 - s.since
+	}
+	for o := off; o != 0; o &= o - 1 {
+		st[bits.TrailingZeros32(o)].settleGap(cycles + 1)
 	}
 
 	res.Cycles = cycles
@@ -363,37 +439,6 @@ func Run(cfg Config) (Result, error) {
 		res.Flushed += m.Flushed
 	}
 	return res, nil
-}
-
-// idleGap is called with the pipe empty. When no stream is ready —
-// each waits on the bus or sits in an off gap — every coming cycle
-// repeats an idle one (channels and gaps count down, nothing issues)
-// until a channel completes or a gap ends; idleGap returns how many
-// cycles, at most left, come before that, or 0 when a stream is ready.
-// live reports whether those cycles count as live: some stream waits
-// or a channel is busy. k always fits an int: any completion wakes
-// every waiting stream, so a stream waits only while some channel is
-// busy, and an off gap or a channel's countdown bounds k.
-func idleGap(st []isState, busBusy []int, nBusy int, left uint64) (k uint64, live bool) {
-	k, live = left, nBusy > 0
-	for i := range st {
-		s := &st[i]
-		if s.waiting {
-			live = true
-			continue
-		}
-		off := s.proc.OffLeft()
-		if off == 0 {
-			return 0, true
-		}
-		k = min(k, uint64(off-1))
-	}
-	for _, b := range busBusy {
-		if b > 0 {
-			k = min(k, uint64(b-1))
-		}
-	}
-	return k, live
 }
 
 // flush removes every in-flight instruction of stream is from the pipe
